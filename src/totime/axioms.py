@@ -25,7 +25,10 @@ from .histories import (
     HistoryPrefix,
     Piece,
     PiecewiseHistory,
+    chain_actions,
     history_to_json,
+    piece_after,
+    piece_at,
     prefix as history_prefix,
     prefix_equal,
 )
@@ -35,7 +38,8 @@ from .solver import (
     NO_TRACE,
     UNIQUE,
     _append_piece,
-    chain_eval,
+    _chain_responses,
+    _chain_step,
     solve_chain,
     solve_dense,
 )
@@ -87,23 +91,6 @@ class AxiomReport:
         }
 
 
-def _piece_at(pieces: Sequence[Piece], t: TimePoint) -> Piece:
-    for iv, a in pieces:
-        if iv.contains(t):
-            return iv, a
-    raise ValueError(f"no piece covers {t}")
-
-
-def _piece_after(pieces: Sequence[Piece], t: TimePoint) -> Piece:
-    """The piece covering the immediate right-neighbourhood of t."""
-    for iv, a in pieces:
-        if iv.contains(t) and iv.hi > t:
-            return iv, a
-        if iv.lo == t and not iv.lo_closed:
-            return iv, a
-    raise ValueError(f"no piece covers times just after {t}")
-
-
 def _rand_fraction(rng: random.Random, denom: int = 2**16) -> Fraction:
     return Fraction(rng.randrange(1, denom), denom)
 
@@ -122,21 +109,22 @@ def _chain_consistent(
     profile, h: PiecewiseHistory, t: int, target: IntervalSet
 ) -> ConsistencyReport:
     domain = h.domain
-    seq = [h.eval(s) for s in domain.points()]
+    seq = chain_actions(h.per_player, domain.size)
+    per: list[list[Piece]] = [[] for _ in h.players]
     checked = 0
-    for s in range(t, domain.size):
-        if not target.contains(s):
-            continue
-        for i, strategy in enumerate(profile):
-            want = chain_eval(strategy, s, seq, domain, h.players)
-            if seq[s][i] != want:
-                return ConsistencyReport(
-                    False, EXHAUSTIVE, target.to_json(), s,
-                    f"player {h.players[i]} plays {seq[s][i]!r} at {s}, "
-                    f"strategy requires {want!r}",
-                    checked,
-                )
-        checked += 1
+    for s in range(domain.size):
+        if s >= t and target.contains(s):
+            wants = _chain_responses(profile, s, seq, per, domain, h.players)
+            for i, want in enumerate(wants):
+                if seq[s][i] != want:
+                    return ConsistencyReport(
+                        False, EXHAUSTIVE, target.to_json(), s,
+                        f"player {h.players[i]} plays {seq[s][i]!r} at {s}, "
+                        f"strategy requires {want!r}",
+                        checked,
+                    )
+            checked += 1
+        _chain_step(per, s, seq[s])
     return ConsistencyReport(True, EXHAUSTIVE, target.to_json(), checked=checked)
 
 
@@ -173,7 +161,7 @@ def _dense_walk(
                 jump = True
             else:
                 m = min(m, holds[i])
-            iv, _ = _piece_at(h.per_player[i], c)
+            iv, _ = piece_at(h.per_player[i], c)
             if iv.hi == c:
                 jump = True
             else:
@@ -186,14 +174,15 @@ def _dense_walk(
         resp2 = [profile[i].respond(c, pfx2) for i in range(n)]
         m2 = top
         for i in range(n):
-            r2 = min(resp2[i].hold_until or c, top)
+            hold = resp2[i].hold_until
+            r2 = min(c if hold is None else hold, top)
             if r2 <= c:
                 return ConsistencyReport(
                     False, WITNESS_BASED, target.to_json(), c,
                     f"strategy of {h.players[i]} repeats an instantaneous hold at {c}",
                     steps,
                 )
-            iv, a = _piece_after(h.per_player[i], c)
+            iv, a = piece_after(h.per_player[i], c)
             if a != resp2[i].action:
                 return ConsistencyReport(
                     False, WITNESS_BASED, target.to_json(), c,

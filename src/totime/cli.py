@@ -145,7 +145,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gallery(args) -> int:
-    seed = int(os.environ.get("TOTIME_SEED", args.seed or 0))
+    seed = args.seed if args.seed is not None else int(os.environ.get("TOTIME_SEED", 0))
     _emit(run_gallery(args.name, seed=seed))
     return 0
 

@@ -20,12 +20,13 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .errors import (
     AlphabetMismatchError,
+    BadParametersError,
     DomainMismatchError,
     SchemaError,
     UnknownStrategyKindError,
 )
 from . import timeorder as to
-from .histories import PiecewiseHistory
+from .histories import PiecewiseHistory, chain_actions
 from .strategies import (
     GALLERY_NAMES,
     Strategy,
@@ -394,14 +395,18 @@ def evaluate_payoff(
     """
     if h.domain != spec.domain or h.players != spec.players:
         raise DomainMismatchError("history does not match the spec's game")
+    if tol <= 0:
+        raise BadParametersError(f"payoff tolerance must be positive, got {tol}")
     rho = spec.rho
     if to.is_chain(spec.domain):
         rho_hat = Fraction(1, 1) / (1 + rho)
         lo = {p: Fraction(0) for p in spec.players}
-        for t in spec.domain.points():
-            u = _stage_payoffs(spec, h.eval(t))
+        weight = Fraction(1)  # rho_hat**t
+        for combo in chain_actions(h.per_player, spec.domain.size):
+            u = _stage_payoffs(spec, combo)
             for p in spec.players:
-                lo[p] += rho_hat**t * u[p]
+                lo[p] += weight * u[p]
+            weight *= rho_hat
         return PayoffVector(spec.players, dict(lo), dict(lo))
 
     bounds = sorted(set(h.change_times()))

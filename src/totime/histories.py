@@ -5,12 +5,18 @@ map is a finite list of (interval, action) pieces that partitions the
 whole domain.  Prefixes cover exactly the times strictly below a cut
 (optionally including the cut itself, which the dense solver uses for
 right-limit re-queries after instantaneous pieces).
+
+Pieces are sorted, so a lookup bisects over piece starts and a prefix
+copies the pieces wholly below its cut, intersecting only the one or two
+pieces at the cut; chain solving and checking extend one append-only
+piece list per player by a step per time instead.
 """
 
 from __future__ import annotations
 
 import io
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -71,25 +77,50 @@ def canonical_pieces(
     return tuple(merged)
 
 
+def _scan_start(pieces: Sequence[Piece], t: TimePoint) -> int:
+    """Index of the first sorted piece that can cover t or the times just
+    after it: every earlier piece ends strictly below t."""
+    return max(bisect_left(pieces, t, key=lambda p: p[0].lo) - 1, 0)
+
+
+def piece_at(pieces: Sequence[Piece], t: TimePoint) -> Optional[Piece]:
+    """The piece covering t, or None."""
+    for k in range(_scan_start(pieces, t), len(pieces)):
+        if pieces[k][0].contains(t):
+            return pieces[k]
+    return None
+
+
+def piece_after(pieces: Sequence[Piece], t: TimePoint) -> Optional[Piece]:
+    """The first piece covering times just after t (or starting above t)."""
+    for k in range(_scan_start(pieces, t), len(pieces)):
+        iv = pieces[k][0]
+        if (iv.contains(t) and iv.hi > t) or (iv.lo == t and not iv.lo_closed) \
+                or iv.lo > t:
+            return pieces[k]
+    return None
+
+
 def eval_pieces(pieces: Sequence[Piece], t: TimePoint) -> str:
-    for iv, action in pieces:
-        if iv.contains(t):
-            return action
-    raise PointNotInDomainError(f"time {t} not covered by pieces")
+    hit = piece_at(pieces, t)
+    if hit is None:
+        raise PointNotInDomainError(f"time {t} not covered by pieces")
+    return hit[1]
 
 
-def restrict_pieces(
-    domain: TimeDomain, pieces: Sequence[Piece], window: Optional[Interval]
-) -> tuple[Piece, ...]:
-    """Pieces intersected with a window; empty window yields ()."""
-    if window is None:
-        return ()
-    out = []
-    for iv, action in pieces:
-        cut = to.intersect(iv, window)
-        if cut is not None:
-            out.append((cut, action))
-    return tuple(out)
+def chain_actions(per_player: Sequence[Sequence[Piece]], end: int) -> list[tuple]:
+    """The action tuples at chain times 0..end-1, walking each player's pieces once."""
+    columns = []
+    for pieces in per_player:
+        col: list[str] = []
+        for iv, action in pieces:
+            if len(col) >= end or iv.lo != len(col):
+                break
+            col.extend([action] * (min(iv.hi + 1, end) - iv.lo))
+        if len(col) < end:
+            raise PointNotInDomainError(f"time {len(col)} not covered by pieces")
+        columns.append(col)
+    return list(zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -174,8 +205,17 @@ def prefix(h: PiecewiseHistory, t: TimePoint, include: bool = False) -> HistoryP
     """h restricted to times strictly below t (or <= t when include=True)."""
     to.require_point(h.domain, t)
     window = to.at_or_before(h.domain, t) if include else to.before(h.domain, t)
-    per = tuple(restrict_pieces(h.domain, pp, window) for pp in h.per_player)
-    return HistoryPrefix(h.domain, t, h.players, per, include)
+    if window is None:
+        return HistoryPrefix(h.domain, t, h.players, tuple(() for _ in h.players), include)
+    per = []
+    for pp in h.per_player:
+        # pieces ending below the window's end lie wholly inside it; the one
+        # or two pieces that reach the cut are the only ones intersected
+        k = bisect_left(pp, window.hi, key=lambda p: p[0].hi)
+        ends = [(cut, a) for iv, a in pp[k:k + 2]
+                if (cut := to.intersect(iv, window)) is not None]
+        per.append(pp[:k] + tuple(ends))
+    return HistoryPrefix(h.domain, t, h.players, tuple(per), include)
 
 
 def prefix_equal(p: HistoryPrefix, q: HistoryPrefix) -> bool:

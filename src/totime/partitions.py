@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import EmptyFamilyError, StartMismatchError, UnknownNameError
 from . import timeorder as to
-from .histories import PiecewiseHistory, canonical_pieces, restrict_pieces
+from .histories import PiecewiseHistory, canonical_pieces
 from .timeorder import Interval, TimeDomain, TimePoint
 
 
@@ -55,9 +55,9 @@ def change_partition(h: PiecewiseHistory, player: str, t: TimePoint) -> OrderedP
     """Maximal connected blocks of T^t on which the player's action is constant."""
     to.require_point(h.domain, t)
     window = to.from_t(h.domain, t)
-    pieces = canonical_pieces(
-        h.domain, restrict_pieces(h.domain, h.pieces_for(player), window), window
-    )
+    inside = [(cut, a) for iv, a in h.pieces_for(player)
+              if (cut := to.intersect(iv, window)) is not None]
+    pieces = canonical_pieces(h.domain, inside, window)
     return OrderedPartition(h.domain, t, tuple(iv for iv, _ in pieces))
 
 

@@ -2,12 +2,16 @@
 
 On finite chains the solution is plain forward recursion: each time's
 action tuple is determined by the strategy profile applied to the prefix
-built so far.  On dense domains the solver runs an event loop over
-hold-witnesses: at each event time it queries every player, commits a
-constant stretch up to the earliest hold expiry, and repeats; singleton
-holds produce instantaneous pieces followed by a right-limit re-query.
-Event times that keep accumulating below the horizon are reported as Zeno
-rather than silently truncated.
+built so far.  That prefix is incremental: one append-only list of merged
+pieces per player grows by one step per time, and each time takes a single
+HistoryPrefix snapshot of it for every strategy (the enumeration oracle,
+which jumps between prefixes, still builds each one with seq_to_prefix).
+On dense domains the solver runs an event loop over hold-witnesses: at
+each event time it queries every player, commits a constant stretch up to
+the earliest hold expiry, and repeats; singleton holds produce
+instantaneous pieces followed by a right-limit re-query.  Event times
+that keep accumulating below the horizon are reported as Zeno rather than
+silently truncated.
 """
 
 from __future__ import annotations
@@ -87,34 +91,42 @@ def _check_profile(profile: Sequence[Strategy], players: Sequence[str]):
         raise ValueError("profile does not match the prefix's player list")
 
 
+def _chain_step(per: Sequence[list], s: int, actions: tuple) -> None:
+    """Append chain time s to per-player piece lists that end at s - 1."""
+    for pieces, a in zip(per, actions):
+        if pieces and pieces[-1][1] == a:
+            pieces[-1] = (Interval(pieces[-1][0].lo, s), a)
+        else:
+            pieces.append((to.singleton(s), a))
+
+
 def seq_to_prefix(
     domain: TimeDomain, players: Sequence[str], seq: Sequence[tuple], cut: int
 ) -> HistoryPrefix:
     """Build a chain HistoryPrefix from a sequence of action tuples."""
-    per = []
-    for i in range(len(players)):
-        pieces: list[Piece] = []
-        for s in range(cut):
-            a = seq[s][i]
-            if pieces and pieces[-1][1] == a and pieces[-1][0].hi == s - 1:
-                pieces[-1] = (Interval(pieces[-1][0].lo, s), a)
-            else:
-                pieces.append((to.singleton(s), a))
-        per.append(tuple(pieces))
-    return HistoryPrefix(domain, cut, tuple(players), tuple(per))
+    per: list[list[Piece]] = [[] for _ in players]
+    for s in range(cut):
+        _chain_step(per, s, seq[s])
+    return HistoryPrefix(domain, cut, tuple(players), tuple(map(tuple, per)))
 
 
-def chain_eval(
-    strategy: Strategy,
-    s: int,
-    seq: Sequence[tuple],
-    domain: TimeDomain,
-    players: Sequence[str],
-) -> str:
-    """The strategy's action at chain time s given the action-tuple prefix."""
-    if strategy.chain_respond is not None:
-        return strategy.chain_respond(s, tuple(seq[:s]))
-    return strategy.respond(s, seq_to_prefix(domain, players, seq, s)).action
+def _chain_responses(profile: Sequence[Strategy], s: int, seq: Sequence[tuple],
+                     per: Sequence[list], domain: TimeDomain, players: tuple):
+    """Yield each strategy's action at chain time s, in profile order.
+
+    `per` holds the merged pieces of times below s; the action-tuple prefix
+    and the HistoryPrefix are each built at most once for all players.
+    """
+    past = snapshot = None
+    for strategy in profile:
+        if strategy.chain_respond is not None:
+            if past is None:
+                past = tuple(seq[:s])
+            yield strategy.chain_respond(s, past)
+        else:
+            if snapshot is None:
+                snapshot = HistoryPrefix(domain, s, players, tuple(map(tuple, per)))
+            yield strategy.respond(s, snapshot).action
 
 
 def solve_chain(profile: Sequence[Strategy], pfx: HistoryPrefix) -> SolveResult:
@@ -122,20 +134,19 @@ def solve_chain(profile: Sequence[Strategy], pfx: HistoryPrefix) -> SolveResult:
     domain = pfx.domain
     players = pfx.players
     _check_profile(profile, players)
-    t0 = pfx.cut
+    if pfx.cut_included:
+        raise ValueError("solve_chain starts from a strict prefix")
     seq = list(encode_chain_prefix(pfx))
+    per: list[list[Piece]] = [[] for _ in players]
+    for s, actions in enumerate(seq):
+        _chain_step(per, s, actions)
     events = []
-    for s in range(t0, domain.size):
-        actions = tuple(
-            chain_eval(strategy, s, seq, domain, players) for strategy in profile
-        )
+    for s in range(pfx.cut, domain.size):
+        actions = tuple(_chain_responses(profile, s, seq, per, domain, players))
         seq.append(actions)
+        _chain_step(per, s, actions)
         events.append((s, "at", actions, tuple(None for _ in players)))
-    tails = {
-        p: [(to.singleton(s), seq[s][i]) for s in range(t0, domain.size)]
-        for i, p in enumerate(players)
-    }
-    history = splice(pfx, tails)
+    history = PiecewiseHistory.build(domain, players, dict(zip(players, per)))
     return SolveResult(UNIQUE, history, events, events_consumed=len(events))
 
 

@@ -23,7 +23,7 @@ from .errors import (
     UnknownNameError,
 )
 from . import timeorder as to
-from .histories import HistoryPrefix, Piece, eval_pieces
+from .histories import HistoryPrefix, Piece, chain_actions, eval_pieces, piece_after, piece_at
 from .timeorder import DenseInterval, FiniteChain, TimeDomain, TimePoint
 
 
@@ -69,9 +69,7 @@ class Strategy:
 def encode_chain_prefix(p: HistoryPrefix) -> tuple:
     """A chain prefix as the tuple of action tuples at times 0..cut-1."""
     end = p.cut + 1 if p.cut_included else p.cut
-    return tuple(
-        tuple(eval_pieces(pp, s) for pp in p.per_player) for s in range(end)
-    )
+    return tuple(chain_actions(p.per_player, end))
 
 
 def _wrap_chain(strategy: Strategy, domain: FiniteChain):
@@ -249,26 +247,21 @@ def make_scripted(
     deviations.  Supplies exact hold-witnesses (the end of the current
     constant run), including right-limit queries after singleton pieces.
     """
-    script = tuple(pieces)
+    script = tuple(sorted(pieces, key=lambda p: to._sort_key(p[0])))
 
     def respond(t: TimePoint, p: HistoryPrefix) -> Response:
         if to.is_chain(domain):
             return Response(eval_pieces(script, t), None)
         if p.cut_included and p.cut == t:
             # right-limit query: the action on a small open interval (t, r)
-            for iv, action in script:
-                if iv.contains(t) and iv.hi > t:
-                    return Response(action, iv.hi)
-                if iv.lo == t and not iv.lo_closed:
-                    return Response(action, iv.hi)
-                if iv.lo > t:
-                    return Response(action, iv.hi)
-            raise MissingEntryError(f"script of {player} has nothing after {t}")
-        for iv, action in script:
-            if iv.contains(t):
-                hold = t if iv.hi == t else iv.hi
-                return Response(action, hold)
-        raise MissingEntryError(f"script of {player} undefined at {t}")
+            hit = piece_after(script, t)
+            if hit is None:
+                raise MissingEntryError(f"script of {player} has nothing after {t}")
+            return Response(hit[1], hit[0].hi)
+        hit = piece_at(script, t)
+        if hit is None:
+            raise MissingEntryError(f"script of {player} undefined at {t}")
+        return Response(hit[1], t if hit[0].hi == t else hit[0].hi)
 
     return Strategy(
         player,

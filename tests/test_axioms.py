@@ -119,6 +119,21 @@ def test_walk_handles_singleton_pieces():
     assert rep.consistent and rep.method == "witness-based"
 
 
+def test_walk_accepts_a_right_limit_hold_at_zero():
+    # the instant at -1/2 is followed by a run that ends at time 0, so the
+    # right-limit re-query there holds until exactly 0
+    domain = DenseInterval(-1, 1)
+    p1 = [(Interval(-1, -HALF, True, False), "C"), (Interval(-HALF, -HALF), "D"),
+          (Interval(-HALF, 0, False, False), "C"), (Interval(0, 1), "D")]
+    profile = [make_scripted("p1", domain, p1),
+               make_constant("p2", "C", ("C", "D"), domain)]
+    res = solve_dense(profile, empty_prefix(domain, ("p1", "p2")))
+    assert res.outcome == "unique"
+    assert res.history.pieces_for("p1") == tuple(p1)
+    rep = is_consistent(res.history, profile)
+    assert rep.consistent is True, rep.diagnosis
+
+
 # -- Axiom 1 --------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import signal
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from totime import cli
 from totime import timeorder as to
-from totime.errors import AlphabetMismatchError, SchemaError
+from totime.errors import AlphabetMismatchError, BadParametersError, SchemaError
 from totime.gamespec import (
     build_profile,
     evaluate_payoff,
@@ -206,6 +207,27 @@ def test_dense_payoff_two_segments_rho_zero():
     assert vec.lo["p1"] == vec.hi["p1"] == Fraction(3, 4)
 
 
+@pytest.fixture
+def fail_after_5s():
+    """Turn a hang into a test failure."""
+    old = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("still running after 5 s"))
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("tol", [Fraction(0), Fraction(-1, 10)])
+def test_payoff_rejects_non_positive_tolerance(tol, fail_after_5s):
+    spec = parse_spec(json.dumps(grim_spec_dict()))
+    h = PiecewiseHistory.build(
+        spec.domain, spec.players,
+        {p: [(Interval(Fraction(0), Fraction(1)), "C")] for p in spec.players},
+    )
+    with pytest.raises(BadParametersError):
+        evaluate_payoff(h, spec, tol=tol)
+
+
 # -- command line ---------------------------------------------------------------
 
 
@@ -246,6 +268,26 @@ def test_cli_solve_out_then_payoff(tmp_path, capsys):
     e_lo, e_hi = taylor_exp_neg(Fraction(1, 2))
     assert hi - lo <= Fraction(1, 10**9)
     assert lo <= 2 * (1 - e_lo) and hi >= 2 * (1 - e_hi)
+
+
+def test_cli_payoff_zero_tol_exits_2(tmp_path, capsys, fail_after_5s):
+    spec_path = write_json(tmp_path / "grim.json", grim_spec_dict())
+    hist_path = str(tmp_path / "hist.json")
+    assert cli.main(["solve", spec_path, "--out", hist_path]) == 0
+    capsys.readouterr()
+    assert cli.main(["payoff", spec_path, hist_path, "--tol", "0"]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+def test_cli_gallery_seed_flag_beats_environment(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "run_gallery", lambda name, seed: seen.append(seed) or {})
+    monkeypatch.setenv("TOTIME_SEED", "7")
+    assert cli.main(["gallery", "no_trace", "--seed", "3"]) == 0
+    assert cli.main(["gallery", "no_trace"]) == 0
+    monkeypatch.delenv("TOTIME_SEED")
+    assert cli.main(["gallery", "no_trace"]) == 0
+    assert seen == [3, 7, 0]
 
 
 def test_cli_zeno_exit_code(tmp_path, capsys):
