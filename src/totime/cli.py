@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import TotimeError
+from .errors import BadParametersError, SchemaError, TotimeError
 from . import timeorder as to
 from .axioms import (
     check_frictionality,
@@ -41,7 +41,10 @@ SOLVE_EXIT = {"unique": 0, "no_trace": 3, "zeno": 4, "budget": 5}
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise SchemaError("$", f"{path} is not valid JSON: {e}")
 
 
 def _emit(obj) -> None:
@@ -49,13 +52,21 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _seed_for(spec, args) -> int:
+def _env_seed(default: int) -> int:
+    """TOTIME_SEED when it is set, else `default`."""
     env = os.environ.get("TOTIME_SEED")
+    if env is None:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise BadParametersError(f"TOTIME_SEED must be an integer, got {env!r}")
+
+
+def _seed_for(spec, args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
-    if env is not None:
-        return int(env)
-    return spec.seed
+    return _env_seed(spec.seed)
 
 
 def _solve(spec, profile, budget):
@@ -145,7 +156,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gallery(args) -> int:
-    seed = args.seed if args.seed is not None else int(os.environ.get("TOTIME_SEED", 0))
+    seed = args.seed if args.seed is not None else _env_seed(0)
     _emit(run_gallery(args.name, seed=seed))
     return 0
 
@@ -170,7 +181,11 @@ def cmd_meet(args) -> int:
 def cmd_payoff(args) -> int:
     spec = parse_spec(_load_json(args.spec))
     h = history_from_json(spec.domain, spec.players, _load_json(args.hist))
-    tol = Fraction(args.tol)
+    try:
+        tol = Fraction(args.tol)
+    except (ValueError, ZeroDivisionError):
+        raise BadParametersError(f"--tol must be an exact rational such as 1e-9 "
+                                 f"or 1/1000, got {args.tol!r}")
     vec = evaluate_payoff(h, spec, tol=tol)
     _emit(vec.to_json())
     return 0
@@ -234,10 +249,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except TotimeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (TotimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -14,9 +14,10 @@ rational enclosures so the whole pipeline stays float-free.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 from .errors import (
     AlphabetMismatchError,
@@ -26,7 +27,7 @@ from .errors import (
     UnknownStrategyKindError,
 )
 from . import timeorder as to
-from .histories import PiecewiseHistory, chain_actions
+from .histories import PiecewiseHistory, chain_actions, stretch_actions
 from .strategies import (
     GALLERY_NAMES,
     Strategy,
@@ -80,11 +81,6 @@ def _parse_domain(obj, path: str) -> TimeDomain:
         _expect(lo < hi, path, "dense domain needs lo < hi")
         return DenseInterval(lo, hi)
     raise SchemaError(f"{path}.kind", f"unknown domain kind {kind!r}")
-
-
-def table_key(t, seq: Sequence[Sequence[str]]) -> str:
-    """Encode a (time, action-tuple prefix) table key, e.g. "2|C,D;C,C"."""
-    return f"{t}|" + ";".join(",".join(a) for a in seq)
 
 
 def parse_table_key(key: str, path: str) -> tuple[int, tuple]:
@@ -316,47 +312,71 @@ def build_profile(spec: GameSpec, seed: Optional[int] = None) -> list[Strategy]:
 # -- certified exponentials ----------------------------------------------------
 
 
-def exp_neg_enclosure(x: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational lo <= e^{-x} <= hi with hi - lo <= eps, for x >= 0.
+def _ceil_log2(r: Fraction) -> int:
+    """The least p >= 0 with 2^p >= r."""
+    n, d = r.numerator, r.denominator
+    p = max(0, n.bit_length() - d.bit_length())
+    return p if n <= d << p else p + 1
 
-    Argument-halving brings x into [0, 1]; an alternating Taylor tail then
-    brackets e^{-y}, and the bracket is squared back up.  Squaring at most
-    doubles the width (values stay in (0, 1]), which the inner tolerance
-    accounts for.
+
+# Halving past y <= 1 down to y <= 2^-8 trades Taylor terms for squarings;
+# that was fastest at 60 to 250 bits (about 1.5x over y <= 1, Python 3.11).
+_EXTRA_HALVINGS = 8
+
+
+def _exp_neg_fixed(x: Fraction, p: int) -> tuple[int, int]:
+    """Integers L <= 2^p e^{-x} <= H with H - L <= 3, for rational x >= 0.
+
+    Works at w = p + k + g bits: x is halved k times into y <= 2^-8, the
+    alternating Taylor series of e^{-y} is summed with each term bounded by
+    floor and ceil, taking the bound that lowers L and the one that raises
+    H, one ulp covers the truncated tail, and the bracket is squared k times
+    back up with floor for L and ceil for H.  Every rounding moves away from
+    e^{-x}, so the bracket is certified.  The Taylor bracket is at most
+    2w + 6 ulps wide and a squaring at most doubles a width and adds 2 ulps
+    (both bounds stay in [0, 2^w]), so g guard bits with 2^g >= 2w + 8 leave
+    at most 3 ulps once the result is rounded outward to p bits.
     """
-    x = Fraction(x)
+    n, d = x.numerator, x.denominator
+    if n == 0:
+        return 1 << p, 1 << p
+    k = _ceil_log2(x) + _EXTRA_HALVINGS
+    w = p + k + (p + k).bit_length() + 5
+    den = d << k  # y = n / den
+    one = lo = hi = t_lo = t_hi = 1 << w
+    j = 0
+    while t_hi > 1:  # t_lo <= 2^w y^j / j! <= t_hi, decreasing in j as y < 1
+        j += 1
+        t_lo = t_lo * n // (den * j)
+        t_hi = -(-t_hi * n // (den * j))
+        if j & 1:
+            lo -= t_hi
+            hi -= t_lo
+        else:
+            lo += t_lo
+            hi += t_hi
+    lo, hi = max(lo - 1, 0), min(hi + 1, one)
+    for _ in range(k):
+        lo = lo * lo >> w
+        hi = -(-hi * hi >> w)
+    return lo >> (w - p), -(-hi >> (w - p))
+
+
+def exp_neg_enclosure(x: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational lo <= e^{-x} <= hi with hi - lo <= eps, for x >= 0, eps > 0.
+
+    Negative x raises ValueError (payoffs on domains below 0 factor the
+    exponential instead, see evaluate_payoff).  Both bounds are dyadic:
+    the fixed-point kernel's integers over 2^p, with 2^p >= 3 / eps.
+    """
+    x, eps = Fraction(x), Fraction(eps)
     if x < 0:
         raise ValueError("exp_neg_enclosure requires x >= 0")
-    if x == 0:
-        return Fraction(1), Fraction(1)
-    halvings = 0
-    y = x
-    while y > 1:
-        y /= 2
-        halvings += 1
-    inner = eps / (2 ** (halvings + 1))
-    while True:
-        # alternating series: even partial sums above, odd below
-        term = Fraction(1)
-        total = Fraction(1)
-        j = 0
-        lo = hi = total
-        while term > inner:
-            j += 1
-            term = term * y / j
-            total += -term if j % 2 else term
-            if j % 2:
-                lo = total
-            else:
-                hi = total
-        if j % 2 == 0:
-            lo = total - term  # one more odd term bounds from below
-        lo = max(lo, Fraction(0))
-        for _ in range(halvings):
-            lo, hi = lo * lo, hi * hi
-        if hi - lo <= eps:
-            return lo, hi
-        inner /= 4
+    if eps <= 0:
+        raise ValueError("exp_neg_enclosure requires eps > 0")
+    p = _ceil_log2(3 / eps)
+    lo, hi = _exp_neg_fixed(x, p)
+    return Fraction(lo, 1 << p), Fraction(hi, 1 << p)
 
 
 @dataclass(frozen=True)
@@ -388,10 +408,25 @@ def evaluate_payoff(
 ) -> PayoffVector:
     """Discounted payoff of h under the spec's table and rate.
 
-    Chains: sum_t (1/(1+rho))^t u_i(h(t)), exact.  Dense: per constant
-    segment (u_i/rho)(e^{-rho lo} - e^{-rho hi}) (or u_i (hi-lo) at rho=0)
-    with certified exponential enclosures of total width <= tol; singleton
-    pieces contribute zero.
+    Chains: sum_t (1/(1+rho))^t u_i(h(t)), exact.  Dense: the sum over the
+    constant stretches [a, b] of (u_i/rho)(e^{-rho a} - e^{-rho b}) (exactly
+    u_i (b-a) at rho = 0), enclosed in [lo, hi] with hi - lo <= tol;
+    singleton pieces contribute zero.
+
+    Each e^{-rho t} is factored as e^{-rho c} e^{-rho (t-c)} with
+    c = min(domain start, 0), so the kernel only sees arguments >= 0, also
+    on domains below 0.  The kernel brackets every 2^p e^{-rho (t-c)} by
+    integers L <= . <= H at one shared precision p.  Its error budget: the
+    floor/ceil bounds on the Taylor terms and the one-ulp tail are covered
+    by guard bits, each squaring at most doubles the width, and rounding
+    to p bits leaves at most 3 ulps.  The sums of u (L_a - H_b) and
+    u (H_a - L_b) (sides swapped for u < 0) are exact integers, divided by
+    rho 2^p once and multiplied by the enclosure 2^p / [H, L] of
+    e^{-rho c}.  p is chosen so that 6 ulps per stretch times e^{-rho c},
+    plus the factor's own width (which grows as e^{-2 rho c}) times the
+    sum, stay within tol.  Every rounding moves outward, so [lo, hi]
+    contains the payoff whatever p is; the final width check certifies
+    hi - lo <= tol, and p grows and the sum is redone if it fails.
     """
     if h.domain != spec.domain or h.players != spec.players:
         raise DomainMismatchError("history does not match the spec's game")
@@ -409,42 +444,40 @@ def evaluate_payoff(
             weight *= rho_hat
         return PayoffVector(spec.players, dict(lo), dict(lo))
 
-    bounds = sorted(set(h.change_times()))
-    segments = []  # (lo, hi, {player: u})
-    for a, b in zip(bounds, bounds[1:]):
-        if a == b:
-            continue
-        mid = a + (b - a) / 2
-        segments.append((a, b, _stage_payoffs(spec, h.eval(mid))))
-
-    lo = {p: Fraction(0) for p in spec.players}
-    hi = {p: Fraction(0) for p in spec.players}
+    times = h.change_times()
+    payoffs = [_stage_payoffs(spec, combo) for combo in stretch_actions(h.per_player, times)]
+    # integer weights w = u * scale, so the per-stretch sums stay integers
+    scale = math.lcm(*(u[p].denominator for u in payoffs for p in spec.players))
+    stretches = [(a, b, [int(u[p] * scale) for p in spec.players])
+                 for a, b, u in zip(times, times[1:], payoffs)]
     if rho == 0:
-        for a, b, u in segments:
-            for p in spec.players:
-                lo[p] += u[p] * (b - a)
-        return PayoffVector(spec.players, dict(lo), dict(lo))
+        exact = {p: sum(ws[i] * (b - a) for a, b, ws in stretches) / scale
+                 for i, p in enumerate(spec.players)}
+        return PayoffVector(spec.players, exact, dict(exact))
 
-    max_coef = max(
-        (abs(u[p]) / rho for _, _, u in segments for p in spec.players),
-        default=Fraction(0),
-    )
-    eps = tol if max_coef == 0 else tol / (4 * max(1, len(bounds)) * max_coef)
+    top = max(abs(w) for _, _, ws in stretches for w in ws)
+    c = min(times[0], 0)
+    amp = math.ceil(-3 * rho * c / 2)  # e^{-rho c} <= 2^amp, as log2(e) < 3/2
+    # 24 n covers 6 ulps per stretch plus the factor's width;
+    # amp + 3 bits keep f_lo >= 5
+    bits = max(amp + 3, _ceil_log2(24 * len(stretches) * max(top, 1) * 4**amp
+                                   / (scale * rho * tol)))
     while True:
-        cache = {b: exp_neg_enclosure(rho * b, eps) for b in bounds}
-        lo = {p: Fraction(0) for p in spec.players}
-        hi = {p: Fraction(0) for p in spec.players}
-        for a, b, u in segments:
-            ea, eb = cache[a], cache[b]
-            d_lo, d_hi = ea[0] - eb[1], ea[1] - eb[0]  # e^{-ra} - e^{-rb} > 0
-            for p in spec.players:
-                coef = u[p] / rho
-                if coef >= 0:
-                    lo[p] += coef * d_lo
-                    hi[p] += coef * d_hi
-                else:
-                    lo[p] += coef * d_hi
-                    hi[p] += coef * d_lo
+        one = 1 << bits
+        enc = {t: _exp_neg_fixed(rho * (t - c), bits) for t in times}
+        f_lo, f_hi = _exp_neg_fixed(-rho * c, bits)
+        factor = (Fraction(one, f_hi), Fraction(one, f_lo))  # encloses e^{-rho c}
+        n_lo = [0] * len(spec.players)
+        n_hi = [0] * len(spec.players)
+        for a, b, ws in stretches:
+            (la, ha), (lb, hb) = enc[a], enc[b]
+            d_lo, d_hi = la - hb, ha - lb  # brackets one * (e^{-rho(a-c)} - e^{-rho(b-c)})
+            for i, w in enumerate(ws):
+                n_lo[i] += min(w * d_lo, w * d_hi)
+                n_hi[i] += max(w * d_lo, w * d_hi)
+        den = rho * scale * one
+        lo = {p: min(n * f for f in factor) / den for p, n in zip(spec.players, n_lo)}
+        hi = {p: max(n * f for f in factor) / den for p, n in zip(spec.players, n_hi)}
         if all(hi[p] - lo[p] <= tol for p in spec.players):
             return PayoffVector(spec.players, lo, hi)
-        eps /= 4
+        bits += 16

@@ -123,6 +123,24 @@ def chain_actions(per_player: Sequence[Sequence[Piece]], end: int) -> list[tuple
     return list(zip(*columns))
 
 
+def stretch_actions(per_player: Sequence[Sequence[Piece]],
+                    times: Sequence[TimePoint]) -> list[tuple]:
+    """The action tuple on each open stretch between consecutive dense `times`.
+
+    `times` is sorted and holds every piece boundary, so each stretch lies
+    inside one piece per player; each player's pieces are walked once.
+    """
+    columns = []
+    for pieces in per_player:
+        col, i = [], 0
+        for a in times[:-1]:
+            while pieces[i][0].hi <= a:
+                i += 1
+            col.append(pieces[i][1])
+        columns.append(col)
+    return list(zip(*columns))
+
+
 @dataclass(frozen=True)
 class PiecewiseHistory:
     """A complete history h: every player's pieces partition the domain."""

@@ -61,10 +61,6 @@ class Strategy:
     # fast path for finite chains: (t, tuple-of-action-tuples) -> action
     chain_respond: Optional[Callable[[int, tuple], str]] = None
 
-    @property
-    def has_holds(self) -> bool:
-        return not self.black_box
-
 
 def encode_chain_prefix(p: HistoryPrefix) -> tuple:
     """A chain prefix as the tuple of action tuples at times 0..cut-1."""

@@ -244,10 +244,6 @@ def abuts(domain: TimeDomain, a: Interval, b: Interval) -> bool:
     return a.hi == b.lo and (a.hi_closed != b.lo_closed)
 
 
-def covers_same(a: Interval, b: Interval) -> bool:
-    return a == b
-
-
 def contains_interval(outer: Interval, inner: Interval) -> bool:
     """True iff inner is a subset of outer."""
     lo_ok = outer.lo < inner.lo or (

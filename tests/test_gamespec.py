@@ -217,6 +217,13 @@ def fail_after_5s():
     signal.signal(signal.SIGALRM, old)
 
 
+@pytest.mark.parametrize("x,eps", [(Fraction(-1, 2), Fraction(1, 10**9)),
+                                   (Fraction(1, 2), Fraction(0))])
+def test_exp_neg_enclosure_rejects_negative_x_and_eps(x, eps, fail_after_5s):
+    with pytest.raises(ValueError):
+        exp_neg_enclosure(x, eps)
+
+
 @pytest.mark.parametrize("tol", [Fraction(0), Fraction(-1, 10)])
 def test_payoff_rejects_non_positive_tolerance(tol, fail_after_5s):
     spec = parse_spec(json.dumps(grim_spec_dict()))
@@ -328,3 +335,64 @@ def test_cli_bad_spec_exits_2(tmp_path, capsys):
     spec_path = write_json(tmp_path / "bad.json", bad)
     assert cli.main(["solve", spec_path]) == 2
     assert "strategies[0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["abc", "nan", "1/0"])
+def test_cli_payoff_bad_tol_exits_2(tmp_path, capsys, tol):
+    spec_path = write_json(tmp_path / "grim.json", grim_spec_dict())
+    hist_path = str(tmp_path / "hist.json")
+    assert cli.main(["solve", spec_path, "--out", hist_path]) == 0
+    capsys.readouterr()
+    assert cli.main(["payoff", spec_path, hist_path, "--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--tol" in err
+
+
+def test_cli_malformed_spec_json_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "broken.json"
+    spec_path.write_text('{"domain": {"kind": "chain",')
+    assert cli.main(["solve", str(spec_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "broken.json" in err
+
+
+def test_cli_malformed_history_json_exits_2(tmp_path, capsys):
+    spec_path = write_json(tmp_path / "grim.json", grim_spec_dict())
+    hist_path = tmp_path / "hist.json"
+    hist_path.write_text("[not json")
+    assert cli.main(["payoff", spec_path, str(hist_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "hist.json" in err
+
+
+@pytest.mark.parametrize("argv", [["solve", None], ["gallery", "no_trace"]])
+def test_cli_bad_seed_environment_exits_2(tmp_path, capsys, monkeypatch, argv):
+    spec_path = write_json(tmp_path / "chain.json", chain_spec_dict())
+    monkeypatch.setenv("TOTIME_SEED", "x")
+    assert cli.main([a if a is not None else spec_path for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "TOTIME_SEED" in err
+
+
+def test_cli_payoff_400_changes_prints_short_bounds(tmp_path, capsys, fail_after_5s):
+    """The bounds share one 2^p denominator instead of squaring up digits."""
+    doc = grim_spec_dict()
+    doc["domain"]["hi"] = "10"
+    doc["payoff"] = {"rho": "2",
+                     "table": {"C,C": "3", "C,D": "-2", "D,C": "5/3", "D,D": "1/7"}}
+    spec_path = write_json(tmp_path / "spec.json", doc)
+
+    def alternating(cuts):
+        pts = [Fraction(0)] + cuts + [Fraction(10)]
+        return [{"lo": str(a), "hi": str(b), "lo_closed": True, "hi_closed": b == 10,
+                 "action": "CD"[i % 2]} for i, (a, b) in enumerate(zip(pts, pts[1:]))]
+
+    hist = {"p1": alternating([Fraction(i, 40) for i in range(1, 400, 2)]),
+            "p2": alternating([Fraction(i, 40) for i in range(2, 400, 2)])}
+    hist_path = write_json(tmp_path / "hist.json", hist)
+    assert cli.main(["payoff", spec_path, hist_path, "--tol", "1e-40"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    for bounds in out.values():
+        lo, hi = Fraction(bounds["lo"]), Fraction(bounds["hi"])
+        assert 0 <= hi - lo <= Fraction(1, 10**40)
+        assert len(bounds["lo"]) < 300 and len(bounds["hi"]) < 300
