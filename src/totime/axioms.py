@@ -39,6 +39,7 @@ from .solver import (
     UNIQUE,
     _append_piece,
     _chain_responses,
+    _check_profile,
     _chain_step,
     solve_chain,
     solve_dense,
@@ -93,13 +94,6 @@ class AxiomReport:
 
 def _rand_fraction(rng: random.Random, denom: int = 2**16) -> Fraction:
     return Fraction(rng.randrange(1, denom), denom)
-
-
-def _check_profile(profile: Sequence[Strategy], players: Sequence[str]):
-    if len(profile) != len(players) or any(
-        s.player != p for s, p in zip(profile, players)
-    ):
-        raise ValueError("profile does not match the history's player list")
 
 
 # -- Definition 1: t-consistency ----------------------------------------------

@@ -42,6 +42,8 @@ from .timeorder import DenseInterval, FiniteChain, TimeDomain
 
 
 STRATEGY_KINDS = ("constant", "grim", "table", "gallery", "halving")
+# "t|a,b;c,d" table-strategy keys and "a,b" payoff-table keys split on these
+KEY_SEPARATORS = ",;|"
 
 
 @dataclass(frozen=True)
@@ -186,6 +188,11 @@ def parse_spec(text: Union[str, bytes, Mapping]) -> GameSpec:
                 f"{path}.actions", "actions must be a non-empty list of strings")
         _expect(len(set(actions)) == len(actions), f"{path}.actions",
                 "duplicate actions")
+        for j, a in enumerate(actions):
+            if any(sep in a for sep in KEY_SEPARATORS):
+                raise SchemaError(f"{path}.actions[{j}]",
+                                  f"action {a!r} contains one of {KEY_SEPARATORS!r}, the "
+                                  f"separators of payoff-table and table-strategy keys")
         players.append(pid)
         alphabets[pid] = tuple(actions)
 

@@ -25,6 +25,7 @@ from .errors import (
     CoverageOverlapError,
     CutMismatchError,
     PointNotInDomainError,
+    SchemaError,
 )
 from . import timeorder as to
 from .timeorder import Interval, TimeDomain, TimePoint
@@ -268,13 +269,22 @@ def history_to_json(h: PiecewiseHistory) -> dict:
 
 
 def history_from_json(domain: TimeDomain, players: Sequence[str], obj: Mapping) -> PiecewiseHistory:
-    pieces = {
-        player: [
-            (to.interval_from_json(entry, domain), str(entry["action"]))
-            for entry in obj[player]
-        ]
-        for player in players
-    }
+    """Parse {player: [{lo, hi, lo_closed, hi_closed, action}, ...]}; a
+    malformed document raises SchemaError naming the bad entry, e.g. p1[0].action."""
+    if not isinstance(obj, dict):
+        raise SchemaError("$", "history must be an object keyed by player")
+    pieces = {}
+    for player in players:
+        entries = obj.get(player)
+        if not isinstance(entries, list):
+            raise SchemaError(player, "missing list of pieces for this player")
+        pieces[player] = []
+        for k, entry in enumerate(entries):
+            path = f"{player}[{k}]"
+            iv = to.interval_from_json(entry, domain, path)
+            if "action" not in entry:
+                raise SchemaError(f"{path}.action", "missing")
+            pieces[player].append((iv, str(entry["action"])))
     return PiecewiseHistory.build(domain, players, pieces)
 
 

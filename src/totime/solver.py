@@ -52,19 +52,33 @@ class SolveResult:
     diagnosis: Optional[str] = None
     accumulation: Optional[TimePoint] = None
     events_consumed: int = 0
+    # (lo, hi) enclosing an accumulation point that is not known exactly
+    accumulation_bounds: Optional[tuple] = None
 
     def to_json(self) -> dict:
         from .histories import history_to_json
+
+        # A stretch's hold is the same object as the next event time, so
+        # each point object is formatted once.  The memo is keyed by id(),
+        # not by value: dyadic points have colliding hashes, and every
+        # point stays alive in self.events while the memo exists.
+        memo: dict = {}
+
+        def fmt(t):
+            s = memo.get(id(t))
+            if s is None:
+                s = memo[id(t)] = to.format_point(t)
+            return s
 
         out = {
             "outcome": self.outcome,
             "events_consumed": self.events_consumed,
             "events": [
                 {
-                    "time": to.format_point(time),
+                    "time": fmt(time),
                     "kind": kind,
                     "actions": list(actions),
-                    "holds": [None if h is None else to.format_point(h) for h in holds],
+                    "holds": [None if h is None else fmt(h) for h in holds],
                 }
                 for time, kind, actions, holds in self.events
             ],
@@ -75,6 +89,8 @@ class SolveResult:
             out["diagnosis"] = self.diagnosis
         if self.accumulation is not None:
             out["accumulation"] = to.format_point(self.accumulation)
+        if self.accumulation_bounds is not None:
+            out["accumulation_bounds"] = [to.format_point(t) for t in self.accumulation_bounds]
         return out
 
 
@@ -88,7 +104,7 @@ def _check_profile(profile: Sequence[Strategy], players: Sequence[str]):
     if len(profile) != len(players) or any(
         s.player != p for s, p in zip(profile, players)
     ):
-        raise ValueError("profile does not match the prefix's player list")
+        raise ValueError("profile does not match the player list")
 
 
 def _chain_step(per: Sequence[list], s: int, actions: tuple) -> None:
@@ -214,25 +230,23 @@ def solve_dense(
         return SolveResult(UNIQUE, history, events, events_consumed=consumed)
 
     def over_budget() -> SolveResult:
-        gaps = [b - a for a, b in zip(stretch_starts, stretch_starts[1:])]
-        recent = gaps[-8:]
-        zeno = len(recent) >= 3 and all(
-            b < a for a, b in zip(recent, recent[1:])
-        )
+        tail = stretch_starts[-9:]
+        gaps = [b - a for a, b in zip(tail, tail[1:])]
+        zeno = len(gaps) >= 3 and all(b < a for a, b in zip(gaps, gaps[1:]))
         if not zeno:
             return SolveResult(BUDGET, None, events, events_consumed=consumed,
                                diagnosis="event budget exhausted without accumulation")
-        acc = c
-        if len(gaps) >= 3 and gaps[-2] != 0 and gaps[-3] != 0:
+        diagnosis = "event times accumulate below the horizon"
+        if gaps[-2] != 0 and gaps[-3] != 0:
             q1 = Fraction(gaps[-1]) / gaps[-2]
             q2 = Fraction(gaps[-2]) / gaps[-3]
             if q1 == q2 and 0 < q1 < 1:
-                acc = c + gaps[-1] * q1 / (1 - q1)
-        return SolveResult(
-            ZENO, None, events, events_consumed=consumed,
-            diagnosis="event times accumulate below the horizon",
-            accumulation=acc,
-        )
+                return SolveResult(ZENO, None, events, events_consumed=consumed,
+                                   diagnosis=diagnosis,
+                                   accumulation=c + gaps[-1] * q1 / (1 - q1))
+        # event times rise strictly below top, so any limit lies in (c, top]
+        return SolveResult(ZENO, None, events, events_consumed=consumed,
+                           diagnosis=diagnosis, accumulation_bounds=(c, top))
 
     while True:
         if consumed >= event_budget:
@@ -242,7 +256,9 @@ def solve_dense(
         events.append((c, "at", actions, holds))
         if prev_holds is not None:
             for i in range(len(players)):
-                if prev_holds[i] > c and actions[i] != prev_actions[i]:
+                # equality first: a hold that ended exactly at c has expired
+                if actions[i] != prev_actions[i] and prev_holds[i] != c \
+                        and prev_holds[i] > c:
                     return SolveResult(
                         NO_TRACE, None, events, events_consumed=consumed,
                         diagnosis=(

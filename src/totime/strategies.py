@@ -327,6 +327,6 @@ def make_halving_hold(player: str, action_cycle: Sequence[str],
         action = cycle[k % len(cycle)]
         if t >= top:
             return Response(action, top)
-        return Response(action, t + (top - t) / 2)
+        return Response(action, (t + top) / 2)
 
     return Strategy(player, respond, name="halving_hold")

@@ -5,6 +5,13 @@ integer indices (discrete, well-ordered time) and a closed rational
 interval ``[lo, hi]`` (dense, complete time).  All coordinates are exact:
 chain points are ``int``, dense points are ``fractions.Fraction``.  No
 floating point enters any comparison, infimum, or supremum.
+
+Dense points are often dyadic, and the hashes of dyadic rationals collide
+(``hash((2**k - 1) / 2**k)`` repeats with period 61 in k), so hot paths
+must not key dicts or sets by point value; ``PiecewiseHistory.change_times``
+and ``axioms._sampled_consistent`` still do.  Exact ordering comparisons
+of such points are also far dearer than equality tests, which is why
+``_try_union`` tests adjacency first.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import EmptySetError, PointNotInDomainError
+from .errors import EmptySetError, PointNotInDomainError, SchemaError
 
 TimePoint = Union[int, Fraction]
 
@@ -145,16 +152,29 @@ class Interval:
         }
 
 
-def interval_from_json(obj: dict, domain: TimeDomain) -> "Interval":
-    if is_chain(domain):
-        lo: TimePoint = int(str(obj["lo"]))
-        hi: TimePoint = int(str(obj["hi"]))
-    else:
-        lo = parse_point(obj["lo"])
-        hi = parse_point(obj["hi"])
-    return make_interval(
+def _point_from_json(obj: dict, key: str, domain: TimeDomain, path: str) -> TimePoint:
+    if key not in obj:
+        raise SchemaError(f"{path}.{key}", "missing")
+    try:
+        return int(str(obj[key])) if is_chain(domain) else parse_point(obj[key])
+    except (ValueError, ZeroDivisionError):
+        kind = "an integer" if is_chain(domain) else "an exact rational"
+        raise SchemaError(f"{path}.{key}", f"{obj[key]!r} is not {kind}") from None
+
+
+def interval_from_json(obj: dict, domain: TimeDomain, path: str = "$") -> Interval:
+    """Parse {"lo", "hi", "lo_closed", "hi_closed"}; a malformed or empty
+    interval raises SchemaError naming `path`, its place in the document."""
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "interval must be an object")
+    lo = _point_from_json(obj, "lo", domain, path)
+    hi = _point_from_json(obj, "hi", domain, path)
+    iv = make_interval(
         domain, lo, hi, bool(obj.get("lo_closed", True)), bool(obj.get("hi_closed", True))
     )
+    if iv is None:
+        raise SchemaError(path, f"empty interval from {lo} to {hi}")
+    return iv
 
 
 def make_interval(
@@ -260,10 +280,16 @@ def _sort_key(iv: Interval):
 
 
 def _try_union(domain: TimeDomain, a: Interval, b: Interval) -> Optional[Interval]:
-    """Union of two intervals when connected (overlapping or abutting)."""
-    if strictly_precedes(a, b) and not abuts(domain, a, b):
-        return None
-    if strictly_precedes(b, a) and not abuts(domain, b, a):
+    """Union of two intervals when connected (overlapping or abutting).
+
+    Abutting pieces, the common case when merging sorted stretches, are
+    joined after one equality test and no ordering comparison.
+    """
+    if abuts(domain, a, b):
+        return Interval(a.lo, b.hi, a.lo_closed, b.hi_closed)
+    if abuts(domain, b, a):
+        return Interval(b.lo, a.hi, b.lo_closed, a.hi_closed)
+    if strictly_precedes(a, b) or strictly_precedes(b, a):
         return None
     if a.lo < b.lo or (a.lo == b.lo and a.lo_closed):
         lo, lo_closed = a.lo, a.lo_closed or (a.lo == b.lo and b.lo_closed)

@@ -76,6 +76,15 @@ def test_unknown_action_reports_path():
     assert "'X'" in str(e.value)
 
 
+@pytest.mark.parametrize("action", ["C,D", "C;D", "1|C"])
+def test_action_with_key_separator_rejected(action):
+    bad = grim_spec_dict()
+    bad["players"][1]["actions"] = ["C", action]
+    with pytest.raises(SchemaError) as e:
+        parse_spec(json.dumps(bad))
+    assert "players[1].actions[1]" in str(e.value)
+
+
 def test_duplicate_player_rejected():
     bad = grim_spec_dict()
     bad["players"][1]["id"] = "p1"
@@ -363,6 +372,45 @@ def test_cli_malformed_history_json_exits_2(tmp_path, capsys):
     assert cli.main(["payoff", spec_path, str(hist_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "hist.json" in err
+
+
+def grim_history():
+    piece = {"lo": "0", "hi": "1", "lo_closed": True, "hi_closed": True, "action": "C"}
+    return {"p1": [dict(piece)], "p2": [dict(piece)]}
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda h: h["p1"][0].pop("action"), "p1[0].action"),
+    (lambda h: h.pop("p1"), "p1"),
+    (lambda h: h["p2"][0].update(hi="x"), "p2[0].hi"),
+    (lambda h: h["p1"][0].update(lo="1/0"), "p1[0].lo"),
+    (lambda h: h["p1"][0].pop("lo"), "p1[0].lo"),
+    (lambda h: h["p1"].__setitem__(0, "0..1"), "p1[0]"),
+    (lambda h: h["p2"][0].update(lo="1", hi="0"), "p2[0]"),
+], ids=["no-action", "no-player", "bad-hi", "zero-denominator", "no-lo", "not-an-object",
+        "empty-interval"])
+def test_cli_payoff_history_of_wrong_shape_exits_2(tmp_path, capsys, edit, path):
+    spec_path = write_json(tmp_path / "grim.json", grim_spec_dict())
+    hist = grim_history()
+    edit(hist)
+    hist_path = write_json(tmp_path / "hist.json", hist)
+    assert cli.main(["payoff", spec_path, hist_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+
+
+def test_cli_payoff_history_that_is_not_an_object_exits_2(tmp_path, capsys):
+    spec_path = write_json(tmp_path / "grim.json", grim_spec_dict())
+    hist_path = write_json(tmp_path / "hist.json", [grim_history()])
+    assert cli.main(["payoff", spec_path, hist_path]) == 2
+    assert capsys.readouterr().err.startswith("error: $: ")
+
+
+def test_cli_payoff_well_formed_history_exits_0(tmp_path, capsys):
+    spec_path = write_json(tmp_path / "grim.json", grim_spec_dict())
+    hist_path = write_json(tmp_path / "hist.json", grim_history())
+    assert cli.main(["payoff", spec_path, hist_path]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"p1", "p2"}
 
 
 @pytest.mark.parametrize("argv", [["solve", None], ["gallery", "no_trace"]])

@@ -160,6 +160,27 @@ def test_zeno_accumulates_at_one_exactly():
     assert res.events_consumed >= 64
 
 
+def test_zeno_with_non_geometric_gaps_reports_bounds_not_a_point():
+    """Gaps 1/k^2 shrink without a common ratio: the limit pi^2/6 is not
+    known exactly, so only the enclosure (last event time, horizon] is given."""
+    domain = DenseInterval(0, 2)
+
+    def respond(t, p):
+        k = len(p.per_player[0])  # one piece per earlier event
+        return Response("ab"[k % 2], t + Fraction(1, (k + 1) ** 2))
+
+    s = Strategy("p1", respond, name="basel")
+    res = solve_dense([s], empty_prefix(domain, ("p1",)), event_budget=32)
+    last = sum(Fraction(1, k * k) for k in range(1, 33))
+    assert res.outcome == ZENO
+    assert res.accumulation is None
+    assert res.accumulation_bounds == (last, 2)
+    assert last < Fraction(16449, 10000) < 2  # pi^2/6 = 1.64493...
+    out = res.to_json()
+    assert "accumulation" not in out
+    assert out["accumulation_bounds"] == [str(last), "2"]
+
+
 def test_budget_without_accumulation():
     """Uniform small holds exhaust the budget without gap shrinkage."""
 
