@@ -27,8 +27,8 @@ from .histories import (
     PiecewiseHistory,
     chain_actions,
     history_to_json,
-    piece_after,
-    piece_at,
+    index_after,
+    index_at,
     prefix as history_prefix,
     prefix_equal,
 )
@@ -128,6 +128,8 @@ def _dense_walk(
     domain = h.domain
     top = to.domain_top(domain)
     n = len(h.players)
+    per = h.per_player
+    at = [0] * n  # index of each player's piece at c: the walk only moves forward
     c = t
     steps = 0
     while steps < budget:
@@ -138,7 +140,9 @@ def _dense_walk(
             return _sampled_consistent(profile, h, c, target, 64, 0)
         actions = tuple(r.action for r in resp)
         holds = [min(r.hold_until, top) for r in resp]
-        hval = h.eval(c)
+        for i in range(n):
+            at[i] = index_at(per[i], c, at[i])
+        hval = tuple(per[i][at[i]][1] for i in range(n))
         if hval != actions and target.contains(c):
             return ConsistencyReport(
                 False, WITNESS_BASED, target.to_json(), c,
@@ -155,7 +159,7 @@ def _dense_walk(
                 jump = True
             else:
                 m = min(m, holds[i])
-            iv, _ = piece_at(h.per_player[i], c)
+            iv = per[i][at[i]][0]
             if iv.hi == c:
                 jump = True
             else:
@@ -176,7 +180,8 @@ def _dense_walk(
                     f"strategy of {h.players[i]} repeats an instantaneous hold at {c}",
                     steps,
                 )
-            iv, a = piece_after(h.per_player[i], c)
+            at[i] = index_after(per[i], c)
+            iv, a = per[i][at[i]]
             if a != resp2[i].action:
                 return ConsistencyReport(
                     False, WITNESS_BASED, target.to_json(), c,

@@ -18,6 +18,9 @@ from fractions import Fraction
 from .errors import BadParametersError, SchemaError, TotimeError
 from . import timeorder as to
 from .axioms import (
+    SAMPLED,
+    WITNESS_BASED,
+    AxiomReport,
     check_frictionality,
     check_inertiality,
     check_initial_uniqueness,
@@ -89,17 +92,38 @@ def cmd_solve(args) -> int:
     return SOLVE_EXIT[result.outcome]
 
 
-def _reference_history(spec, profile, budget) -> PiecewiseHistory:
-    """The solved history when available, else a constant fallback."""
+def _reference_history(spec, profile, budget):
+    """The solved history and "unique" when the solve is unique, else a
+    constant fallback with the solve's outcome (None for black-box profiles,
+    which are not solved)."""
+    outcome = None
     if not any(s.black_box for s in profile):
         result = _solve(spec, profile, budget)
         if result.outcome == "unique":
-            return result.history
+            return result.history, result.outcome
+        outcome = result.outcome
     return PiecewiseHistory.build(
         spec.domain, spec.players,
         {p: [(to.full_interval(spec.domain), spec.alphabets[p][0])]
          for p in spec.players},
-    )
+    ), outcome
+
+
+def _initial_uniqueness(player: str, t0, h: PiecewiseHistory, outcome) -> AxiomReport:
+    """Axiom 3 on the reference history.  Only a unique solve makes h the
+    one consistent history, so only then does comparing h with itself
+    decide the axiom; otherwise there is no pair to compare."""
+    if outcome == "unique":
+        report = check_initial_uniqueness(player, t0, h, h)
+        report.details = "the solve is unique, so h is compared with itself"
+        return report
+    if outcome is None:
+        return AxiomReport(3, None, SAMPLED,
+                           details="black-box profile: no second consistent "
+                                   "history to compare")
+    return AxiomReport(3, None, WITNESS_BASED,
+                       details=f"the solve ended {outcome!r}: no consistent "
+                               f"history to compare")
 
 
 def cmd_check(args) -> int:
@@ -112,7 +136,7 @@ def cmd_check(args) -> int:
             print(f"unknown axiom {a}", file=sys.stderr)
             return 2
     t0 = to.domain_min(spec.domain)
-    h = _reference_history(spec, profile, DEFAULT_EVENT_BUDGET)
+    h, outcome = _reference_history(spec, profile, DEFAULT_EVENT_BUDGET)
     reports: dict[str, list] = {}
     for a in axioms:
         rs = []
@@ -123,7 +147,7 @@ def cmd_check(args) -> int:
             elif a == 2:
                 rs.append(check_well_orderedness(p, t0, [h]))
             elif a == 3:
-                rs.append(check_initial_uniqueness(p, t0, h, h))
+                rs.append(_initial_uniqueness(p, t0, h, outcome))
             elif a == 4:
                 rs.append(check_inertiality(strategy, t0, h, spec.alphabets,
                                             samples=args.samples, seed=seed))

@@ -53,7 +53,7 @@ def _chain_rule_strategy(player: str, rule) -> Strategy:
 
         return Response(chain_respond(t, encode_chain_prefix(p)), None)
 
-    return Strategy(player, respond, name="chain_rule", table=True,
+    return Strategy(player, respond, name="chain_rule",
                     chain_respond=chain_respond)
 
 

@@ -6,10 +6,11 @@ whole domain.  Prefixes cover exactly the times strictly below a cut
 (optionally including the cut itself, which the dense solver uses for
 right-limit re-queries after instantaneous pieces).
 
-Pieces are sorted, so a lookup bisects over piece starts and a prefix
-copies the pieces wholly below its cut, intersecting only the one or two
-pieces at the cut; chain solving and checking extend one append-only
-piece list per player by a step per time instead.
+Pieces are sorted, so a lookup bisects over piece starts (a walk forward
+in time passes the last index as a hint and skips the bisect) and a
+prefix copies the pieces wholly below its cut, intersecting only the one
+or two pieces at the cut; chain solving and checking extend one
+append-only piece list per player by a step per time instead.
 """
 
 from __future__ import annotations
@@ -84,21 +85,39 @@ def _scan_start(pieces: Sequence[Piece], t: TimePoint) -> int:
     return max(bisect_left(pieces, t, key=lambda p: p[0].lo) - 1, 0)
 
 
-def piece_at(pieces: Sequence[Piece], t: TimePoint) -> Optional[Piece]:
-    """The piece covering t, or None."""
+def index_at(pieces: Sequence[Piece], t: TimePoint,
+             hint: Optional[int] = None) -> Optional[int]:
+    """Index of the piece covering t, or None.
+
+    A walk that only moves forward finds t in the piece it found last (the
+    `hint`) or in the next one, so those two are tried first; a hint is
+    used only once `contains` confirms it, and a miss falls back to the
+    bisect over piece starts.
+    """
+    if hint is not None:
+        for k in (hint, hint + 1):
+            if k < len(pieces) and pieces[k][0].contains(t):
+                return k
     for k in range(_scan_start(pieces, t), len(pieces)):
         if pieces[k][0].contains(t):
-            return pieces[k]
+            return k
     return None
 
 
-def piece_after(pieces: Sequence[Piece], t: TimePoint) -> Optional[Piece]:
-    """The first piece covering times just after t (or starting above t)."""
+def piece_at(pieces: Sequence[Piece], t: TimePoint) -> Optional[Piece]:
+    """The piece covering t, or None."""
+    k = index_at(pieces, t)
+    return None if k is None else pieces[k]
+
+
+def index_after(pieces: Sequence[Piece], t: TimePoint) -> Optional[int]:
+    """Index of the first piece covering times just after t (or starting
+    above t), or None."""
     for k in range(_scan_start(pieces, t), len(pieces)):
         iv = pieces[k][0]
         if (iv.contains(t) and iv.hi > t) or (iv.lo == t and not iv.lo_closed) \
                 or iv.lo > t:
-            return pieces[k]
+            return k
     return None
 
 

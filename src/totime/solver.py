@@ -170,7 +170,8 @@ def _append_piece(domain, pieces: list, iv: Interval, action: str):
     if pieces:
         prev_iv, prev_action = pieces[-1]
         if prev_action == action and to.abuts(domain, prev_iv, iv):
-            pieces[-1] = (to._try_union(domain, prev_iv, iv), action)
+            pieces[-1] = (Interval(prev_iv.lo, iv.hi, prev_iv.lo_closed, iv.hi_closed),
+                          action)
             return
     pieces.append((iv, action))
 

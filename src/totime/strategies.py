@@ -23,7 +23,7 @@ from .errors import (
     UnknownNameError,
 )
 from . import timeorder as to
-from .histories import HistoryPrefix, Piece, chain_actions, eval_pieces, piece_after, piece_at
+from .histories import HistoryPrefix, Piece, chain_actions, eval_pieces, index_after, index_at
 from .timeorder import DenseInterval, FiniteChain, TimeDomain, TimePoint
 
 
@@ -47,14 +47,12 @@ InertialWitness = Callable[[TimePoint, HistoryPrefix], tuple[TimePoint, str]]
 
 @dataclass
 class Strategy:
-    """A player's strategy: a pure respond function plus declared class flags."""
+    """A player's strategy: a pure respond function plus the optional
+    witnesses and fast paths the engine uses."""
 
     player: str
     respond: Callable[[TimePoint, HistoryPrefix], Response]
     name: str = "strategy"
-    table: bool = False
-    inertial: bool = False
-    frictional: bool = False
     black_box: bool = False
     default_action: Optional[str] = None  # z_i, when frictional
     inertial_witness: Optional[InertialWitness] = None
@@ -95,8 +93,6 @@ def make_constant(player: str, action: str, alphabet: Sequence[str],
         player,
         respond,
         name=f"constant({action})",
-        inertial=True,
-        frictional=True,
         default_action=action,
         inertial_witness=witness,
         chain_respond=(lambda t, seq: action) if to.is_chain(domain) else None,
@@ -177,7 +173,6 @@ def make_grim_trigger(
         player,
         respond,
         name=f"grim({cooperate}->{punish},d={delta})",
-        inertial=True,
         inertial_witness=witness,
     )
 
@@ -198,9 +193,19 @@ def make_table(
             raise MissingEntryError(f"table of {player} missing entry for {key!r}")
         return tbl[key]
 
-    strategy = Strategy(player, None, name="table", table=True, chain_respond=chain_respond)
+    strategy = Strategy(player, None, name="table", chain_respond=chain_respond)
     strategy.respond = _wrap_chain(strategy, domain)
     return strategy
+
+
+def _is_action_tuple(item) -> bool:
+    """A tuple of str: two equal ones have equal reprs, which 1 == True lacks."""
+    return type(item) is tuple and all(type(a) is str for a in item)
+
+
+def _render_items(seq: tuple) -> str:
+    """The items of seq as its repr shows them: ", ".join(map(repr, seq))."""
+    return ", ".join(map(repr, seq))
 
 
 def make_random_table(
@@ -213,18 +218,39 @@ def make_random_table(
 
     The action at (t, prefix) is a stable digest of (seed, player, t,
     prefix), so replays with the same seed are identical across processes.
+    A query whose prefix extends the previous one by one action tuple, as
+    in forward recursion and the consistency walk, appends that tuple's
+    repr to the previous rendering instead of rendering the whole prefix;
+    the digest still reads all of it.
     """
     if not alphabet:
         raise BadParametersError("empty alphabet")
     actions = tuple(alphabet)
+    # (prefix, its rendered items) of the last query, read and written
+    # whole; only prefixes of action tuples are kept, so an equal prefix
+    # always renders the same
+    last = ((), "")
 
     def chain_respond(t: int, seq: tuple) -> str:
-        payload = f"{seed}|{player}|{t}|{seq!r}".encode()
+        nonlocal last
+        if type(seq) is tuple:
+            prev, body = last
+            if len(seq) == len(prev) + 1 and _is_action_tuple(seq[-1]) \
+                    and seq[:-1] == prev:
+                body = f"{body}, {seq[-1]!r}" if prev else repr(seq[-1])
+                last = (seq, body)
+            else:
+                body = _render_items(seq)
+                last = (seq, body) if all(map(_is_action_tuple, seq)) else ((), "")
+            text = f"({body},)" if len(seq) == 1 else f"({body})"
+        else:
+            text = repr(seq)
+        payload = f"{seed}|{player}|{t}|{text}".encode()
         digest = hashlib.sha256(payload).digest()
         return actions[int.from_bytes(digest[:8], "big") % len(actions)]
 
     strategy = Strategy(
-        player, None, name=f"random_table(seed={seed})", table=True,
+        player, None, name=f"random_table(seed={seed})",
         chain_respond=chain_respond,
     )
     strategy.respond = _wrap_chain(strategy, domain)
@@ -244,26 +270,31 @@ def make_scripted(
     constant run), including right-limit queries after singleton pieces.
     """
     script = tuple(sorted(pieces, key=lambda p: to._sort_key(p[0])))
+    hint = 0  # index of the last piece answered, a cursor for forward walks
 
     def respond(t: TimePoint, p: HistoryPrefix) -> Response:
+        nonlocal hint
         if to.is_chain(domain):
             return Response(eval_pieces(script, t), None)
         if p.cut_included and p.cut == t:
             # right-limit query: the action on a small open interval (t, r)
-            hit = piece_after(script, t)
-            if hit is None:
+            k = index_after(script, t)
+            if k is None:
                 raise MissingEntryError(f"script of {player} has nothing after {t}")
-            return Response(hit[1], hit[0].hi)
-        hit = piece_at(script, t)
-        if hit is None:
+            hint = k
+            iv, action = script[k]
+            return Response(action, iv.hi)
+        k = index_at(script, t, hint)
+        if k is None:
             raise MissingEntryError(f"script of {player} undefined at {t}")
-        return Response(hit[1], t if hit[0].hi == t else hit[0].hi)
+        hint = k
+        iv, action = script[k]
+        return Response(action, t if iv.hi == t else iv.hi)
 
     return Strategy(
         player,
         respond,
         name="scripted",
-        frictional=default_action is not None,
         default_action=default_action,
         chain_respond=(lambda t, seq: eval_pieces(script, t)) if to.is_chain(domain) else None,
     )

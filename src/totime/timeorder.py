@@ -125,19 +125,22 @@ class Interval:
     hi_closed: bool = True
 
     def __post_init__(self):
+        if self.lo < self.hi:
+            return
         if self.lo > self.hi:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+        if not (self.lo_closed and self.hi_closed):
             raise ValueError("degenerate interval must be closed on both ends")
 
     def contains(self, t: TimePoint) -> bool:
-        if t < self.lo or t > self.hi:
-            return False
-        if t == self.lo and not self.lo_closed:
-            return False
-        if t == self.hi and not self.hi_closed:
-            return False
-        return True
+        if self.lo < t < self.hi:
+            return True
+        # a degenerate interval is closed on both ends, so lo_closed decides t == lo
+        if t == self.lo:
+            return self.lo_closed
+        if t == self.hi:
+            return self.hi_closed
+        return False
 
     @property
     def is_singleton(self) -> bool:

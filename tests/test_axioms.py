@@ -40,7 +40,7 @@ def chain_rule(player, rule):
 
         return Response(chain_respond(t, encode_chain_prefix(p)), None)
 
-    return Strategy(player, respond, name="rule", table=True,
+    return Strategy(player, respond, name="rule",
                     chain_respond=chain_respond)
 
 

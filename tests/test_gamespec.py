@@ -320,6 +320,47 @@ def test_cli_zeno_exit_code(tmp_path, capsys):
     assert Fraction(out["accumulation"]) == 1
 
 
+def gallery_spec_dict(name):
+    return {
+        "domain": {"kind": "dense", "lo": "0", "hi": "1"},
+        "players": [{"id": "p1", "actions": ["0", "1"]}],
+        "strategies": [{"kind": "gallery", "player": "p1", "name": name}],
+        "seed": 0,
+    }
+
+
+def axiom3_reports(tmp_path, capsys, doc, code):
+    spec_path = write_json(tmp_path / "spec.json", doc)
+    assert cli.main(["check", spec_path, "--axioms", "3"]) == code
+    return json.loads(capsys.readouterr().out)["reports"]["3"]
+
+
+@pytest.mark.parametrize("name", ["multi", "no_trace"])
+def test_cli_check_axiom3_on_a_black_box_is_inconclusive(tmp_path, capsys, name):
+    # no consistent history is solved for, so the constant fallback would
+    # only be compared with itself
+    (rep,) = axiom3_reports(tmp_path, capsys, gallery_spec_dict(name), 2)
+    assert (rep["passed"], rep["method"]) == (None, "sampled")
+    assert "no second consistent history" in rep["details"]
+
+
+def test_cli_check_axiom3_on_a_unique_grim_solve_passes(tmp_path, capsys):
+    reps = axiom3_reports(tmp_path, capsys, grim_spec_dict(), 0)
+    assert [(r["passed"], r["method"]) for r in reps] == [(True, "exhaustive")] * 2
+    assert all("the solve is unique" in r["details"] for r in reps)
+
+
+def test_cli_check_axiom3_without_a_unique_solve_is_inconclusive(tmp_path, capsys):
+    doc = {
+        "domain": {"kind": "dense", "lo": "0", "hi": "1"},
+        "players": [{"id": "p", "actions": ["a", "b"]}],
+        "strategies": [{"kind": "halving", "player": "p", "cycle": ["a", "b"]}],
+    }
+    (rep,) = axiom3_reports(tmp_path, capsys, doc, 2)
+    assert (rep["passed"], rep["method"]) == (None, "witness-based")
+    assert "'zeno'" in rep["details"]
+
+
 def test_cli_meet(tmp_path, capsys):
     domain = {"kind": "chain", "size": 6}
     part1 = {

@@ -22,7 +22,7 @@ from totime.histories import (
     PiecewiseHistory,
     chain_actions,
     empty_prefix,
-    piece_after,
+    index_after,
     piece_at,
     prefix,
 )
@@ -112,6 +112,11 @@ def linear_scripted(pieces, t, right_limit: bool):
     if hit is None:
         raise MissingEntryError(f"undefined at {t}")
     return Response(hit[1], t if hit[0].hi == t else hit[0].hi)
+
+
+def piece_after(pieces, t):
+    k = index_after(pieces, t)
+    return None if k is None else pieces[k]
 
 
 def outcome(fn):

@@ -44,7 +44,7 @@ def rule_strategy(player, idx, rule):
 
         return Response(chain_respond(t, encode_chain_prefix(p)), None)
 
-    return Strategy(player, respond, name="rule", table=True,
+    return Strategy(player, respond, name="rule",
                     chain_respond=chain_respond)
 
 

@@ -50,7 +50,6 @@ def test_constant_strategy():
     s = make_constant("p1", "C", ("C", "D"), UNIT)
     r = s.respond(Fraction(1, 3), constant_prefix(UNIT, ["p1"], Fraction(1, 3), ["C"]))
     assert r.action == "C" and r.hold_until == 1
-    assert s.inertial and s.frictional
     with pytest.raises(ActionNotInAlphabetError):
         make_constant("p1", "X", ("C", "D"), UNIT)
 
