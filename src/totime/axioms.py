@@ -126,7 +126,7 @@ def _dense_walk(
     profile, h: PiecewiseHistory, t: TimePoint, target: IntervalSet, budget: int
 ) -> ConsistencyReport:
     domain = h.domain
-    top = to.domain_top(domain)
+    top = domain.top
     n = len(h.players)
     per = h.per_player
     at = [0] * n  # index of each player's piece at c: the walk only moves forward
@@ -243,7 +243,7 @@ def is_consistent(
     target set (default: every time at or after t; t defaults to min T)."""
     _check_profile(profile, h.players)
     if t is None:
-        t = to.domain_min(h.domain)
+        t = h.domain.min
     to.require_point(h.domain, t)
     window = to.from_t(h.domain, t, include=True)
     full = to.make_interval_set(h.domain, [window])
@@ -313,7 +313,7 @@ def _probe_trace(
     """
     domain = pfx.domain
     players = pfx.players
-    top = to.domain_top(domain)
+    top = domain.top
     n = len(players)
     pieces: list[list[Piece]] = [list(pp) for pp in pfx.per_player]
     transcript: list[dict] = []
@@ -562,7 +562,7 @@ def check_inertiality(
         return AxiomReport(4, True, EXHAUSTIVE,
                            details="successor time bounds the window; the "
                                    "prefix below t fixes the response there")
-    top = to.domain_top(domain)
+    top = domain.top
     if t == top:
         return AxiomReport(4, True, EXHAUSTIVE, details="no time after t")
     rng = random.Random(seed)
@@ -622,7 +622,7 @@ def check_frictionality(
     """Axiom 5: the player departs from the default z at only finitely many
     times in [t, s] — for piecewise histories, only at single instants."""
     if s is None:
-        s = to.domain_top(h.domain)
+        s = h.domain.top
     if to.is_chain(h.domain):
         return AxiomReport(5, True, EXHAUSTIVE,
                            details="finite time set: count is bounded by |T|")

@@ -126,16 +126,27 @@ def _initial_uniqueness(player: str, t0, h: PiecewiseHistory, outcome) -> AxiomR
                                f"history to compare")
 
 
+def _axioms_flag(text: str) -> list[int]:
+    """The sorted axiom numbers of --axioms, such as "1,3,5"."""
+    try:
+        axioms = sorted({int(a) for a in text.split(",") if a.strip()})
+    except ValueError:
+        raise BadParametersError(f"--axioms must be a comma-separated list of "
+                                 f"axiom numbers 1 to 5, got {text!r}") from None
+    for a in axioms:
+        if a not in (1, 2, 3, 4, 5):
+            raise BadParametersError(f"unknown axiom {a}")
+    return axioms
+
+
 def cmd_check(args) -> int:
+    axioms = _axioms_flag(args.axioms)
+    if args.samples < 1:
+        raise BadParametersError(f"--samples must be at least 1, got {args.samples}")
     spec = parse_spec(_load_json(args.spec))
     seed = _seed_for(spec, args)
     profile = build_profile(spec, seed)
-    axioms = sorted({int(a) for a in args.axioms.split(",") if a.strip()})
-    for a in axioms:
-        if a not in (1, 2, 3, 4, 5):
-            print(f"unknown axiom {a}", file=sys.stderr)
-            return 2
-    t0 = to.domain_min(spec.domain)
+    t0 = spec.domain.min
     h, outcome = _reference_history(spec, profile, DEFAULT_EVENT_BUDGET)
     reports: dict[str, list] = {}
     for a in axioms:
@@ -186,13 +197,20 @@ def cmd_gallery(args) -> int:
 
 
 def _partition_from_json(obj):
+    """Parse {"domain", "start", "blocks"}; a malformed document raises
+    SchemaError naming the bad entry, e.g. blocks[1].lo."""
     from .gamespec import _parse_domain
 
-    domain = _parse_domain(obj["domain"], "domain")
-    start = to.parse_point(obj["start"]) if not to.is_chain(domain) \
-        else int(obj["start"])
-    blocks = [interval_from_json(b, domain) for b in obj["blocks"]]
-    return partition_from_blocks(domain, start, blocks)
+    if not isinstance(obj, dict):
+        raise SchemaError("$", "partition must be an object")
+    domain = _parse_domain(obj.get("domain"), "domain")
+    start = to.point_from_json(obj, "start", domain, "start")
+    blocks = obj.get("blocks")
+    if not isinstance(blocks, list):
+        raise SchemaError("blocks", "blocks must be a list of intervals")
+    return partition_from_blocks(
+        domain, start, [interval_from_json(b, domain, f"blocks[{i}]")
+                        for i, b in enumerate(blocks)])
 
 
 def cmd_meet(args) -> int:

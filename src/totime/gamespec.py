@@ -293,7 +293,7 @@ def build_profile(spec: GameSpec, seed: Optional[int] = None) -> list[Strategy]:
         elif kind == "grim":
             out.append(make_grim_trigger(
                 p, s["cooperate"], s["punish"],
-                int(s["delta"]) if to.is_chain(spec.domain) else Fraction(s["delta"]),
+                int(s["delta"]) if to.is_chain(spec.domain) else to.parse_point(s["delta"]),
                 alpha, spec.domain,
                 trigger_actions=s.get("trigger_actions"),
             ))
@@ -306,7 +306,7 @@ def build_profile(spec: GameSpec, seed: Optional[int] = None) -> list[Strategy]:
                 out.append(make_random_table(p, spec.domain, alpha,
                                              seed + s.get("seed", 0)))
         elif kind == "gallery":
-            strat = make_gallery(s["name"], to.domain_top(spec.domain))
+            strat = make_gallery(s["name"], spec.domain.top)
             strat.player = p
             out.append(strat)
         elif kind == "halving":

@@ -236,7 +236,7 @@ class HistoryPrefix:
 
 
 def empty_prefix(domain: TimeDomain, players: Sequence[str]) -> HistoryPrefix:
-    return HistoryPrefix(domain, to.domain_min(domain), tuple(players), tuple(() for _ in players))
+    return HistoryPrefix(domain, domain.min, tuple(players), tuple(() for _ in players))
 
 
 def prefix(h: PiecewiseHistory, t: TimePoint, include: bool = False) -> HistoryPrefix:

@@ -198,7 +198,7 @@ def solve_dense(
     for s in profile:
         if s.black_box:
             raise MissingWitnessError(f"strategy of {s.player} has no hold-witness")
-    top = to.domain_top(domain)
+    top = domain.top
     idx = list(order) if order is not None else list(range(len(players)))
     pieces: list[list[Piece]] = [list(pp) for pp in pfx.per_player]
     c = pfx.cut

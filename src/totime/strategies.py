@@ -80,7 +80,7 @@ def make_constant(player: str, action: str, alphabet: Sequence[str],
     """Always play one action; inertial and frictional with z = action."""
     if action not in alphabet:
         raise ActionNotInAlphabetError(f"{action!r} not in alphabet of {player}")
-    top = to.domain_top(domain)
+    top = domain.top
     hold = None if to.is_chain(domain) else top
 
     def respond(t: TimePoint, p: HistoryPrefix) -> Response:
@@ -134,12 +134,12 @@ def make_grim_trigger(
         raise BadParametersError("cooperate and punish must differ")
     if cooperate not in alphabet or punish not in alphabet:
         raise ActionNotInAlphabetError("grim actions must be in the alphabet")
-    delta = Fraction(delta) if not to.is_chain(domain) else delta
+    delta = to.as_point(delta) if not to.is_chain(domain) else delta
     if delta <= 0:
         raise BadParametersError("delta must be positive")
     if to.is_chain(domain) and (not isinstance(delta, int)):
         raise BadParametersError("chain grim trigger needs an integer delta")
-    top = to.domain_top(domain)
+    top = domain.top
     chain = to.is_chain(domain)
     if trigger_actions is None:
         def is_trigger(action: str) -> bool:
@@ -269,6 +269,9 @@ def make_scripted(
     deviations.  Supplies exact hold-witnesses (the end of the current
     constant run), including right-limit queries after singleton pieces.
     """
+    if not to.is_chain(domain):  # library callers may pass int or Fraction ends
+        pieces = [(to.make_interval(domain, iv.lo, iv.hi, iv.lo_closed, iv.hi_closed), a)
+                  for iv, a in pieces]
     script = tuple(sorted(pieces, key=lambda p: to._sort_key(p[0])))
     hint = 0  # index of the last piece answered, a cursor for forward walks
 
@@ -313,7 +316,7 @@ def make_gallery(name: str, horizon: Fraction) -> Strategy:
     classic continuous-time counterexamples; neither carries a
     hold-witness.
     """
-    horizon = Fraction(horizon)
+    horizon = to.as_point(horizon)
     if horizon <= 0:
         raise BadParametersError("horizon must be positive")
     player = "p1"
@@ -350,7 +353,7 @@ def make_halving_hold(player: str, action_cycle: Sequence[str],
     accumulate at the horizon and the solver must report Zeno.
     """
     cycle = tuple(action_cycle)
-    top = to.domain_top(domain)
+    top = domain.top
 
     def respond(t: TimePoint, p: HistoryPrefix) -> Response:
         # change count so far = number of own pieces in the prefix

@@ -3,8 +3,16 @@
 Two domain shapes are supported: a finite chain ``{0, 1, ..., n-1}`` of
 integer indices (discrete, well-ordered time) and a closed rational
 interval ``[lo, hi]`` (dense, complete time).  All coordinates are exact:
-chain points are ``int``, dense points are ``fractions.Fraction``.  No
-floating point enters any comparison, infimum, or supremum.
+chain points are ``int``, dense points are ``Point``.  No floating point
+enters any comparison, infimum, or supremum.
+
+``Point`` is a ``Fraction`` with the same value, hash, ``str`` and
+``repr``, whose comparisons and ``+ - * /`` take exact fast paths for
+``Point``, ``Fraction`` and ``int`` operands instead of the generic
+``numbers.Rational`` dispatch; the solver and the axiom walks mostly
+compare points.  Every dense point is made a ``Point`` where it enters
+the engine (``parse_point``, ``DenseInterval``, ``make_interval`` and the
+strategy constructors), so callers may still pass ``int`` or ``Fraction``.
 
 Dense points are often dyadic, and the hashes of dyadic rationals collide
 (``hash((2**k - 1) / 2**k)`` repeats with period 61 in k), so hot paths
@@ -16,13 +24,166 @@ of such points are also far dearer than equality tests, which is why
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Union
 
 from .errors import EmptySetError, PointNotInDomainError, SchemaError
 
-TimePoint = Union[int, Fraction]
+
+_new = object.__new__
+
+
+def _point(n: int, d: int) -> "Point":
+    """The Point n/d for coprime n and d > 0, without normalising."""
+    p = _new(Point)
+    p._numerator = n
+    p._denominator = d
+    return p
+
+
+# The kernels reduce as Fraction's _add, _mul and _div do, so their results
+# equal Fraction's; an int operand n enters as n/1.
+
+
+def _add(na: int, da: int, nb: int, db: int) -> "Point":
+    g = gcd(da, db)
+    if g == 1:
+        return _point(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _point(t, s * db)
+    return _point(t // g2, s * (db // g2))
+
+
+def _sub(na: int, da: int, nb: int, db: int) -> "Point":
+    return _add(na, da, -nb, db)
+
+
+def _mul(na: int, da: int, nb: int, db: int) -> "Point":
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _point(na * nb, db * da)
+
+
+def _div(na: int, da: int, nb: int, db: int) -> "Point":
+    if nb == 0:
+        raise ZeroDivisionError(f"Fraction({na * db}, 0)")
+    if nb < 0:
+        nb, db = -nb, -db
+    return _mul(na, da, db, nb)
+
+
+def _as_result(r):
+    """A rational result of Fraction's own arithmetic, as a Point."""
+    return _point(r._numerator, r._denominator) if type(r) is Fraction else r
+
+
+def _arithmetic(kernel, forward_fallback, reverse_fallback):
+    """a op b and b op a for a Point a: `kernel` for Point, Fraction and int
+    operands, Fraction's own methods for any other."""
+
+    def forward(a, b):
+        tb = type(b)
+        if tb is Point or tb is Fraction:
+            return kernel(a._numerator, a._denominator, b._numerator, b._denominator)
+        if tb is int:
+            return kernel(a._numerator, a._denominator, b, 1)
+        return _as_result(forward_fallback(a, b))
+
+    def reverse(a, b):
+        tb = type(b)
+        if tb is Point or tb is Fraction:
+            return kernel(b._numerator, b._denominator, a._numerator, a._denominator)
+        if tb is int:
+            return kernel(b, 1, a._numerator, a._denominator)
+        return _as_result(reverse_fallback(a, b))
+
+    return forward, reverse
+
+
+def _ordering(op, fallback):
+    """a op b for a Point a: cross-multiplied for Point, Fraction and int
+    operands (denominators are positive), Fraction's own method for any other."""
+
+    def compare(a, b):
+        tb = type(b)
+        if tb is Point or tb is Fraction:
+            return op(a._numerator * b._denominator, b._numerator * a._denominator)
+        if tb is int:
+            return op(a._numerator, b * a._denominator)
+        return fallback(a, b)
+
+    return compare
+
+
+class Point(Fraction):
+    """An exact dense time point.
+
+    Equal in value, hash, ``str`` and ``repr`` to the ``Fraction`` it
+    holds.  Comparisons, ``+ - * /`` (both ways) and negation with a
+    ``Point``, ``Fraction`` or ``int`` operand work on the numerators and
+    denominators directly, and the arithmetic returns a ``Point``; any
+    other operand (``bool``, ``float``, ``Decimal``, ...) gets
+    ``Fraction``'s own method.  Other operators are inherited and return
+    a plain ``Fraction``.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+    # defining __eq__ would otherwise set __hash__ to None
+    __hash__ = Fraction.__hash__
+
+    def __eq__(a, b):
+        tb = type(b)
+        if tb is Point or tb is Fraction:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if tb is int:
+            return a._numerator == b and a._denominator == 1
+        return Fraction.__eq__(a, b)
+
+    def __ne__(a, b):
+        tb = type(b)
+        if tb is Point or tb is Fraction:
+            return a._numerator != b._numerator or a._denominator != b._denominator
+        if tb is int:
+            return a._numerator != b or a._denominator != 1
+        return Fraction.__ne__(a, b)
+
+    __lt__ = _ordering(operator.lt, Fraction.__lt__)
+    __le__ = _ordering(operator.le, Fraction.__le__)
+    __gt__ = _ordering(operator.gt, Fraction.__gt__)
+    __ge__ = _ordering(operator.ge, Fraction.__ge__)
+
+    __add__, __radd__ = _arithmetic(_add, Fraction.__add__, Fraction.__radd__)
+    __sub__, __rsub__ = _arithmetic(_sub, Fraction.__sub__, Fraction.__rsub__)
+    __mul__, __rmul__ = _arithmetic(_mul, Fraction.__mul__, Fraction.__rmul__)
+    __truediv__, __rtruediv__ = _arithmetic(_div, Fraction.__truediv__,
+                                            Fraction.__rtruediv__)
+
+    def __neg__(a):
+        return _point(-a._numerator, a._denominator)
+
+
+TimePoint = Union[int, Point]
+
+
+def as_point(t) -> Point:
+    """t (an int, Fraction or Point) as a Point."""
+    return t if type(t) is Point else Point(t)
 
 
 def format_point(t: TimePoint) -> str:
@@ -30,9 +191,9 @@ def format_point(t: TimePoint) -> str:
     return str(t)
 
 
-def parse_point(text: str) -> Fraction:
+def parse_point(text: str) -> Point:
     """Parse an exact rational string such as "1/2", "3", or "0.25"."""
-    return Fraction(str(text))
+    return Point(str(text))
 
 
 @dataclass(frozen=True)
@@ -64,21 +225,21 @@ class FiniteChain:
 class DenseInterval:
     """Continuous time axis ``[lo, hi]`` with rational, closed endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    lo: Point
+    hi: Point
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        object.__setattr__(self, "lo", as_point(self.lo))
+        object.__setattr__(self, "hi", as_point(self.hi))
         if not self.lo < self.hi:
             raise ValueError("DenseInterval needs lo < hi")
 
     @property
-    def min(self) -> Fraction:
+    def min(self) -> Point:
         return self.lo
 
     @property
-    def top(self) -> Fraction:
+    def top(self) -> Point:
         return self.hi
 
     def contains(self, t: TimePoint) -> bool:
@@ -92,16 +253,6 @@ TimeDomain = Union[FiniteChain, DenseInterval]
 
 def is_chain(domain: TimeDomain) -> bool:
     return isinstance(domain, FiniteChain)
-
-
-def domain_min(domain: TimeDomain) -> TimePoint:
-    """The least element of the domain."""
-    return domain.min
-
-
-def domain_top(domain: TimeDomain) -> TimePoint:
-    """The greatest element of the domain (both shapes are bounded)."""
-    return domain.top
 
 
 def require_point(domain: TimeDomain, t: TimePoint) -> TimePoint:
@@ -155,14 +306,16 @@ class Interval:
         }
 
 
-def _point_from_json(obj: dict, key: str, domain: TimeDomain, path: str) -> TimePoint:
+def point_from_json(obj: dict, key: str, domain: TimeDomain, path: str) -> TimePoint:
+    """obj[key] as a point of the domain; a missing or malformed one raises
+    SchemaError naming `path`, the key's place in the document."""
     if key not in obj:
-        raise SchemaError(f"{path}.{key}", "missing")
+        raise SchemaError(path, "missing")
     try:
         return int(str(obj[key])) if is_chain(domain) else parse_point(obj[key])
     except (ValueError, ZeroDivisionError):
         kind = "an integer" if is_chain(domain) else "an exact rational"
-        raise SchemaError(f"{path}.{key}", f"{obj[key]!r} is not {kind}") from None
+        raise SchemaError(path, f"{obj[key]!r} is not {kind}") from None
 
 
 def interval_from_json(obj: dict, domain: TimeDomain, path: str = "$") -> Interval:
@@ -170,8 +323,8 @@ def interval_from_json(obj: dict, domain: TimeDomain, path: str = "$") -> Interv
     interval raises SchemaError naming `path`, its place in the document."""
     if not isinstance(obj, dict):
         raise SchemaError(path, "interval must be an object")
-    lo = _point_from_json(obj, "lo", domain, path)
-    hi = _point_from_json(obj, "hi", domain, path)
+    lo = point_from_json(obj, "lo", domain, f"{path}.lo")
+    hi = point_from_json(obj, "hi", domain, f"{path}.hi")
     iv = make_interval(
         domain, lo, hi, bool(obj.get("lo_closed", True)), bool(obj.get("hi_closed", True))
     )
@@ -199,8 +352,8 @@ def make_interval(
         if lo > hi:
             return None
         return Interval(int(lo), int(hi), True, True)
-    lo = Fraction(lo)
-    hi = Fraction(hi)
+    lo = as_point(lo)
+    hi = as_point(hi)
     if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
         return None
     return Interval(lo, hi, lo_closed, hi_closed)

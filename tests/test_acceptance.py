@@ -168,7 +168,7 @@ def test_criterion_3_inertiality_implies_unique():
             assert res.outcome == "unique", seed
             assert verify_unique(profile, pfx, res, runs=6, seed=seed)
         h = res.history
-        t0 = to.domain_min(domain)
+        t0 = domain.min
         for strategy in profile:
             r4 = check_inertiality(strategy, t0, h, alphabets,
                                    samples=12, seed=seed)
@@ -260,7 +260,7 @@ def test_criterion_5_change_partition_lemma():
         blocks = part.blocks
         # disjoint, totally ordered, covering [t0, top]
         assert blocks[0].lo == t0 and blocks[0].lo_closed
-        assert blocks[-1].hi == to.domain_top(h.domain) and blocks[-1].hi_closed
+        assert blocks[-1].hi == h.domain.top and blocks[-1].hi_closed
         for a, b in zip(blocks, blocks[1:]):
             assert to.intersect(a, b) is None
             assert block_leq(a, b) and not block_leq(b, a)

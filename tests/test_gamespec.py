@@ -379,6 +379,75 @@ def test_cli_meet(tmp_path, capsys):
     assert los == ["0", "3", "4"]
 
 
+def dense_partition():
+    return {"domain": {"kind": "dense", "lo": "0", "hi": "1"}, "start": "0",
+            "blocks": [{"lo": "0", "hi": "1/2", "hi_closed": False},
+                       {"lo": "1/2", "hi": "1"}]}
+
+
+def test_cli_meet_dense_partitions(tmp_path, capsys):
+    p1 = write_json(tmp_path / "p1.json", dense_partition())
+    assert cli.main(["meet", p1, p1]) == 0
+    assert [b["lo"] for b in json.loads(capsys.readouterr().out)["blocks"]] == ["0", "1/2"]
+
+
+def test_cli_meet_without_domain_exits_2(tmp_path, capsys):
+    doc = dense_partition()
+    del doc["domain"]
+    p1 = write_json(tmp_path / "p1.json", doc)
+    assert cli.main(["meet", p1, p1]) == 2
+    assert capsys.readouterr().err.startswith("error: domain: ")
+
+
+def test_cli_meet_chain_start_not_an_integer_exits_2(tmp_path, capsys):
+    doc = {"domain": {"kind": "chain", "size": 4}, "start": "x",
+           "blocks": [{"lo": "0", "hi": "3"}]}
+    p1 = write_json(tmp_path / "p1.json", doc)
+    assert cli.main(["meet", p1, p1]) == 2
+    assert capsys.readouterr().err.startswith("error: start: 'x' is not an integer")
+
+
+def test_cli_meet_dense_start_with_zero_denominator_exits_2(tmp_path, capsys):
+    doc = dense_partition()
+    doc["start"] = "1/0"
+    p1 = write_json(tmp_path / "p1.json", doc)
+    assert cli.main(["meet", p1, p1]) == 2
+    assert capsys.readouterr().err.startswith("error: start: '1/0' is not an exact rational")
+
+
+def test_cli_meet_partition_that_is_not_an_object_exits_2(tmp_path, capsys):
+    p1 = write_json(tmp_path / "p1.json", [dense_partition()])
+    assert cli.main(["meet", p1, p1]) == 2
+    assert capsys.readouterr().err.startswith("error: $: ")
+
+
+@pytest.mark.parametrize("blocks, path", [
+    (None, "blocks"), ("0..1", "blocks"), ([{"lo": "0"}], "blocks[0].hi"),
+], ids=["missing", "not-a-list", "bad-block"])
+def test_cli_meet_bad_blocks_exit_2(tmp_path, capsys, blocks, path):
+    doc = dense_partition()
+    doc["blocks"] = blocks
+    if blocks is None:
+        del doc["blocks"]
+    p1 = write_json(tmp_path / "p1.json", doc)
+    assert cli.main(["meet", p1, p1]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("flags, needle", [
+    (["--axioms", "1,x"], "--axioms"),
+    (["--axioms", "7"], "unknown axiom 7"),
+    (["--samples", "-3"], "--samples"),
+    (["--samples", "0"], "--samples"),
+], ids=["axiom-not-a-number", "unknown-axiom", "negative-samples", "zero-samples"])
+def test_cli_check_bad_flags_exit_2(tmp_path, capsys, flags, needle):
+    spec_path = write_json(tmp_path / "grim.json", grim_spec_dict())
+    assert cli.main(["check", spec_path] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and needle in captured.err
+
+
 def test_cli_bad_spec_exits_2(tmp_path, capsys):
     bad = chain_spec_dict()
     bad["strategies"][0]["action"] = "X"

@@ -270,7 +270,7 @@ def old_dense_walk(profile, h: PiecewiseHistory, t, target, budget) -> Consisten
         return None if k is None else pieces[k]
 
     domain = h.domain
-    top = to.domain_top(domain)
+    top = domain.top
     n = len(h.players)
     c = t
     steps = 0

@@ -38,7 +38,7 @@ def constant_prefix(domain, players, cut, actions, include=False):
             hi = cut if include else cut - 1
             per.append(() if hi < lo else ((Interval(lo, hi), a),))
         else:
-            lo = to.domain_min(domain)
+            lo = domain.min
             if cut == lo and not include:
                 per.append(())
             else:
