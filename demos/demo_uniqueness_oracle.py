@@ -2,9 +2,10 @@
 
 On a well-ordered time domain every strategy profile traces out exactly
 one consistent history: the action at each time is forced by the prefix
-built so far.  This demo draws a few random table profiles, enumerates
-every candidate history outright, and shows the oracle's single survivor
-agreeing bit-for-bit with the forward solver.
+built so far.  This demo draws a few random table profiles, counts the
+candidate histories, lets the oracle search them (it rejects each block
+of candidates at its first inconsistent time), and shows the oracle's
+single survivor agreeing bit-for-bit with the forward solver.
 
 Run:  python3 demos/demo_uniqueness_oracle.py
 """

@@ -3,7 +3,7 @@
 Finite-chain and dense rational time domains, piecewise-constant
 histories, prefix-dependent strategies with hold-witnesses, consistency
 and axiom checkers, an event-driven dense solver with Zeno detection, a
-brute-force enumeration oracle, and exact discounted payoffs.
+pruned enumeration oracle, and exact discounted payoffs.
 """
 
 from .errors import TotimeError

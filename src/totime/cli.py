@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=32)
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("oracle", help="exhaustive enumeration on a finite chain")
+    p = sub.add_parser("oracle", help="every consistent history of a finite chain")
     p.add_argument("spec")
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_oracle)

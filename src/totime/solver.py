@@ -1,11 +1,13 @@
-"""Solvers for the unique consistent complete history, plus the brute oracle.
+"""Solvers for the unique consistent complete history, plus the oracle.
 
 On finite chains the solution is plain forward recursion: each time's
 action tuple is determined by the strategy profile applied to the prefix
 built so far.  That prefix is incremental: one append-only list of merged
 pieces per player grows by one step per time, and each time takes a single
-HistoryPrefix snapshot of it for every strategy (the enumeration oracle,
-which jumps between prefixes, still builds each one with seq_to_prefix).
+HistoryPrefix snapshot of it for every strategy.  The enumeration oracle
+checks the solver independently: it lists the consistent completions by
+a forward search that rejects each block of candidates at its first
+inconsistent time, and builds every prefix afresh with seq_to_prefix.
 On dense domains the solver runs an event loop over hold-witnesses: at
 each event time it queries every player, commits a constant stretch up to
 the earliest hold expiry, and repeats; singleton holds produce
@@ -312,16 +314,34 @@ def solve_dense(
         stretch_starts.append(c)
 
 
+def _space_exceeds(base: int, n: int, limit: int) -> bool:
+    """Whether base ** n > limit, multiplying one factor at a time and
+    stopping once the product passes limit, so a huge power is never built."""
+    if base <= 1:
+        return base ** n > limit
+    space = 1
+    for _ in range(n):
+        if space > limit:
+            break
+        space *= base
+    return space > limit
+
+
 def oracle_enumerate(
     profile: Sequence[Strategy],
     pfx: HistoryPrefix,
     alphabets: Mapping[str, Sequence[str]],
     limit: int = 10**7,
 ) -> OracleResult:
-    """Exhaustively enumerate completions of the prefix and filter pointwise.
+    """Enumerate the consistent completions of a chain prefix, independently
+    of the solver.
 
-    Independent validation of the chain solver: no recursion, no pruning
-    beyond the pointwise consistency definition itself.
+    A strategy answers a prefix with exactly one tuple and consistency is
+    pointwise, so a candidate that differs from the forced tuple at some
+    time fails with every continuation.  The search goes forward in time,
+    querying each strategy once per time (chain_respond, or respond on a
+    prefix built by seq_to_prefix); survivors come in itertools.product
+    order.  `limit` bounds the nominal space, len(tuples) ** times left.
     """
     domain = pfx.domain
     players = pfx.players
@@ -331,47 +351,29 @@ def oracle_enumerate(
     t0 = pfx.cut
     n_times = domain.size - t0
     tuples = list(itertools.product(*[alphabets[p] for p in players]))
-    space = len(tuples) ** n_times
-    if space > limit:
-        raise SearchSpaceTooLargeError(f"search space {space} exceeds limit {limit}")
-    base = encode_chain_prefix(pfx)
-    evals = [
-        (strategy.chain_respond
-         if strategy.chain_respond is not None
-         else (lambda s, seq, _st=strategy: _st.respond(
-             s, seq_to_prefix(domain, players, seq, s)).action))
-        for strategy in profile
-    ]
-    n_players = len(players)
-    # responses depend only on (time, prefix); memoize across candidates
-    memo: dict = {}
-
-    def forced(s, seq):
-        key = (s, seq)
-        v = memo.get(key)
-        if v is None:
-            v = tuple(evals[i](s, seq) for i in range(n_players))
-            memo[key] = v
-        return v
-
-    survivors = []
-    for combo in itertools.product(tuples, repeat=n_times):
-        seq = base
-        ok = True
-        for k in range(n_times):
-            if combo[k] != forced(t0 + k, seq):
-                ok = False
-                break
-            seq = seq + (combo[k],)
-        if ok:
-            survivors.append(combo)
-    histories = []
-    for combo in survivors:
-        tails = {
+    if _space_exceeds(len(tuples), n_times, limit):
+        raise SearchSpaceTooLargeError(
+            f"search space {len(tuples)}^{n_times} exceeds limit {limit}")
+    seq = encode_chain_prefix(pfx)
+    steps = []  # per time, the alphabet tuples equal to the forced tuple
+    for s in range(t0, domain.size):
+        forced = tuple(
+            st.chain_respond(s, seq) if st.chain_respond is not None
+            else st.respond(s, seq_to_prefix(domain, players, seq, s)).action
+            for st in profile
+        )
+        matches = [t for t in tuples if t == forced]
+        if not matches:
+            return OracleResult([], 0)
+        steps.append(matches)
+        seq += (matches[0],)
+    histories = [
+        splice(pfx, {
             p: [(to.singleton(t0 + k), combo[k][i]) for k in range(n_times)]
             for i, p in enumerate(players)
-        }
-        histories.append(splice(pfx, tails))
+        })
+        for combo in itertools.product(*steps)
+    ]
     return OracleResult(histories, len(histories))
 
 

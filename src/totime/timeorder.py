@@ -325,9 +325,10 @@ def interval_from_json(obj: dict, domain: TimeDomain, path: str = "$") -> Interv
         raise SchemaError(path, "interval must be an object")
     lo = point_from_json(obj, "lo", domain, f"{path}.lo")
     hi = point_from_json(obj, "hi", domain, f"{path}.hi")
-    iv = make_interval(
-        domain, lo, hi, bool(obj.get("lo_closed", True)), bool(obj.get("hi_closed", True))
-    )
+    for key in ("lo_closed", "hi_closed"):  # JSON booleans; a missing flag is closed
+        if not isinstance(obj.get(key, True), bool):
+            raise SchemaError(f"{path}.{key}", f"{obj[key]!r} is not a boolean")
+    iv = make_interval(domain, lo, hi, obj.get("lo_closed", True), obj.get("hi_closed", True))
     if iv is None:
         raise SchemaError(path, f"empty interval from {lo} to {hi}")
     return iv

@@ -423,7 +423,10 @@ def test_cli_meet_partition_that_is_not_an_object_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("blocks, path", [
     (None, "blocks"), ("0..1", "blocks"), ([{"lo": "0"}], "blocks[0].hi"),
-], ids=["missing", "not-a-list", "bad-block"])
+    ([{"lo": "0", "hi": "1/2", "hi_closed": "false"}, {"lo": "1/2", "hi": "1"}],
+     "blocks[0].hi_closed"),
+    ([{"lo": "0", "hi": "1", "lo_closed": 1}], "blocks[0].lo_closed"),
+], ids=["missing", "not-a-list", "bad-block", "string-hi-closed", "int-lo-closed"])
 def test_cli_meet_bad_blocks_exit_2(tmp_path, capsys, blocks, path):
     doc = dense_partition()
     doc["blocks"] = blocks
@@ -497,8 +500,10 @@ def grim_history():
     (lambda h: h["p1"][0].pop("lo"), "p1[0].lo"),
     (lambda h: h["p1"].__setitem__(0, "0..1"), "p1[0]"),
     (lambda h: h["p2"][0].update(lo="1", hi="0"), "p2[0]"),
+    (lambda h: h["p1"][0].update(hi_closed="false"), "p1[0].hi_closed"),
+    (lambda h: h["p2"][0].update(lo_closed=None), "p2[0].lo_closed"),
 ], ids=["no-action", "no-player", "bad-hi", "zero-denominator", "no-lo", "not-an-object",
-        "empty-interval"])
+        "empty-interval", "string-hi-closed", "null-lo-closed"])
 def test_cli_payoff_history_of_wrong_shape_exits_2(tmp_path, capsys, edit, path):
     spec_path = write_json(tmp_path / "grim.json", grim_spec_dict())
     hist = grim_history()

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from totime import timeorder as to
-from totime.errors import CoverageGapError, CoverageOverlapError, CutMismatchError
+from totime.errors import (
+    CoverageGapError,
+    CoverageOverlapError,
+    CutMismatchError,
+    SchemaError,
+)
 from totime.histories import (
     HistoryPrefix,
     PiecewiseHistory,
@@ -105,6 +110,23 @@ def test_json_roundtrip_and_csv():
     lines = csv_text.strip().splitlines()
     assert lines[0] == "player,lo,hi,lo_closed,hi_closed,action"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("key, flag", [
+    ("hi_closed", "false"), ("lo_closed", "true"), ("hi_closed", 0), ("lo_closed", None),
+])
+def test_json_closedness_flags_must_be_booleans(key, flag):
+    obj = history_to_json(two_piece())
+    obj["p1"][1][key] = flag
+    with pytest.raises(SchemaError) as err:
+        history_from_json(UNIT, ("p1",), obj)
+    assert err.value.path == f"p1[1].{key}"
+
+
+def test_json_closedness_flags_default_to_closed():
+    obj = {"p1": [{"lo": "0", "hi": "1", "action": "a"}]}
+    assert history_from_json(UNIT, ("p1",), obj).pieces_for("p1") == (
+        (Interval(0, 1, True, True), "a"),)
 
 
 def test_chain_history():
