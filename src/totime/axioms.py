@@ -4,6 +4,8 @@
 profile on a target set of times: exhaustively on finite chains, by an
 exact hold-witness walk on dense domains, and by boundary-plus-sample
 probing when some strategy is a black box (reported as method "sampled").
+The dense walk and the traceability probe of black boxes run on the
+solver's event walk, with steps that compare with h or probe spans.
 
 The per-player axiom checkers cover traceability (1), well-ordered change
 (2), initial uniqueness (3), inertiality (4), and frictionality (5).  Each
@@ -27,7 +29,6 @@ from .histories import (
     PiecewiseHistory,
     chain_actions,
     history_to_json,
-    index_after,
     index_at,
     prefix as history_prefix,
     prefix_equal,
@@ -41,6 +42,7 @@ from .solver import (
     _chain_responses,
     _check_profile,
     _chain_step,
+    _walk,
     solve_chain,
     solve_dense,
 )
@@ -123,77 +125,63 @@ def _chain_consistent(
 
 
 def _dense_walk(
-    profile, h: PiecewiseHistory, t: TimePoint, target: IntervalSet, budget: int
+    profile, h: PiecewiseHistory, t: TimePoint, target: IntervalSet, budget: int,
+    samples: int, seed: int,
 ) -> ConsistencyReport:
-    domain = h.domain
-    top = domain.top
-    n = len(h.players)
+    """Check h from t on the solver's event walk, comparing every step with h.
+
+    A step ends at the earliest hold or end of a piece of h.  Until the
+    first disagreement the walk's pieces equal h's prefix, so strategies
+    see h; h itself is read through one cursor per player.  A strategy
+    without a hold hands the rest of the check to sampling.
+    """
+    top = h.domain.top
     per = h.per_player
-    at = [0] * n  # index of each player's piece at c: the walk only moves forward
-    c = t
-    steps = 0
-    while steps < budget:
-        steps += 1
-        pfx = history_prefix(h, c, include=False)
-        resp = [profile[i].respond(c, pfx) for i in range(n)]
-        if any(r.hold_until is None for r in resp):
-            return _sampled_consistent(profile, h, c, target, 64, 0)
+    at_c = [0] * len(per)  # index of each player's piece of h at c
+    steps = 0  # an at-query and its right-limit re-query are one step
+
+    def report(consistent, c=None, diagnosis=None) -> ConsistencyReport:
+        return ConsistencyReport(consistent, WITNESS_BASED, target.to_json(), c,
+                                 diagnosis, steps)
+
+    def step(c: TimePoint, p: HistoryPrefix):
+        nonlocal steps
+        if not p.cut_included:
+            if steps >= budget:
+                return report(None, diagnosis="verification budget exhausted")
+            steps += 1
+        resp = [s.respond(c, p) for s in profile]
         actions = tuple(r.action for r in resp)
-        holds = [min(r.hold_until, top) for r in resp]
-        for i in range(n):
-            at[i] = index_at(per[i], c, at[i])
-        hval = tuple(per[i][at[i]][1] for i in range(n))
-        if hval != actions and target.contains(c):
-            return ConsistencyReport(
-                False, WITNESS_BASED, target.to_json(), c,
-                f"history plays {hval!r} at {c}, strategies require {actions!r}",
-                steps,
-            )
-        if c == top:
-            return ConsistencyReport(True, WITNESS_BASED, target.to_json(),
-                                     checked=steps)
-        jump = False
-        m = top
-        for i in range(n):
-            if holds[i] <= c:
-                jump = True
-            else:
-                m = min(m, holds[i])
-            iv = per[i][at[i]][0]
-            if iv.hi == c:
-                jump = True
-            else:
-                m = min(m, iv.hi)
-        if not jump and m > c:
-            c = m
-            continue
-        # h (or a hold) is instantaneous at c: verify the right limit
-        pfx2 = history_prefix(h, c, include=True)
-        resp2 = [profile[i].respond(c, pfx2) for i in range(n)]
-        m2 = top
-        for i in range(n):
-            hold = resp2[i].hold_until
-            r2 = min(c if hold is None else hold, top)
-            if r2 <= c:
-                return ConsistencyReport(
-                    False, WITNESS_BASED, target.to_json(), c,
-                    f"strategy of {h.players[i]} repeats an instantaneous hold at {c}",
-                    steps,
-                )
-            at[i] = index_after(per[i], c)
-            iv, a = per[i][at[i]]
-            if a != resp2[i].action:
-                return ConsistencyReport(
-                    False, WITNESS_BASED, target.to_json(), c,
-                    f"history plays {a!r} just after {c}, strategy of "
-                    f"{h.players[i]} requires {resp2[i].action!r}",
-                    steps,
-                )
-            m2 = min(m2, r2, iv.hi)
-        c = m2
-    return ConsistencyReport(None, WITNESS_BASED, target.to_json(),
-                             diagnosis="verification budget exhausted",
-                             checked=steps)
+        if p.cut_included:
+            r2 = top
+            for i, r in enumerate(resp):
+                if r.hold_until is None or r.hold_until <= c:
+                    return report(False, c, f"strategy of {h.players[i]} repeats an "
+                                            f"instantaneous hold at {c}")
+                # h's piece just after c: the piece at c, or the next one if
+                # that ends at c
+                k = at_c[i] = at_c[i] + (per[i][at_c[i]][0].hi == c)
+                iv, a = per[i][k]
+                if a != r.action:
+                    return report(False, c, f"history plays {a!r} just after {c}, "
+                                            f"strategy of {h.players[i]} requires "
+                                            f"{r.action!r}")
+                r2 = min(r2, r.hold_until, iv.hi)
+            return actions, r2
+        if any(r.hold_until is None for r in resp):
+            return _sampled_consistent(profile, h, c, target, samples, seed)
+        for i, pieces in enumerate(per):
+            at_c[i] = index_at(pieces, c, at_c[i])
+        hval = tuple(per[i][k][1] for i, k in enumerate(at_c))
+        if hval != actions:
+            return report(False, c, f"history plays {hval!r} at {c}, "
+                                    f"strategies require {actions!r}")
+        # a hold or a piece of h that ends at c makes c an instant
+        end = min(top, *(r.hold_until for r in resp),
+                  *(per[i][k][0].hi for i, k in enumerate(at_c)))
+        return actions, (end if end > c else c)
+
+    return _walk(history_prefix(h, t), step, lambda pieces: report(True))
 
 
 def _sampled_consistent(
@@ -206,7 +194,7 @@ def _sampled_consistent(
         lo = max(iv.lo, t)
         if lo > iv.hi:
             continue
-        points.add(lo if iv.lo_closed or lo > iv.lo else lo)
+        points.add(lo)
         for _ in range(max(1, samples // max(1, len(target.pieces)))):
             s = lo + (iv.hi - lo) * _rand_fraction(rng)
             if iv.contains(s) and s >= t:
@@ -257,10 +245,8 @@ def is_consistent(
                 )
     if to.is_chain(h.domain):
         return _chain_consistent(profile, h, t, target)
-    if any(s.black_box for s in profile):
-        return _sampled_consistent(profile, h, t, target, samples, seed)
-    if target == full:
-        return _dense_walk(profile, h, t, target, budget)
+    if target == full and not any(s.black_box for s in profile):
+        return _dense_walk(profile, h, t, target, budget, samples, seed)
     return _sampled_consistent(profile, h, t, target, samples, seed)
 
 
@@ -276,6 +262,17 @@ def _frozen_profile(strategy: Strategy, h: PiecewiseHistory) -> list[Strategy]:
         else:
             out.append(make_scripted(p, h.domain, h.pieces_for(p)))
     return out
+
+
+def _extended(pfx: HistoryPrefix, q: TimePoint, tails) -> HistoryPrefix:
+    """The prefix below q: pfx followed by each player's tail pieces."""
+    per = []
+    for pp, tail in zip(pfx.per_player, tails):
+        pp = list(pp)
+        for iv, a in tail:
+            _append_piece(pfx.domain, pp, iv, a)
+        per.append(tuple(pp))
+    return HistoryPrefix(pfx.domain, q, pfx.players, tuple(per))
 
 
 def _observed_alphabets(
@@ -311,35 +308,20 @@ def _probe_trace(
     (for both the closed-start and the post-instant candidate) are reported
     as a traceability failure with the probe transcript as witness.
     """
-    domain = pfx.domain
-    players = pfx.players
-    top = domain.top
-    n = len(players)
-    pieces: list[list[Piece]] = [list(pp) for pp in pfx.per_player]
+    top = pfx.domain.top
     transcript: list[dict] = []
+    steps = 0
 
-    def query(t, included, extra=None):
-        per = []
-        for i in range(n):
-            pp = list(pieces[i])
-            if extra is not None:
-                _append_piece(domain, pp, extra[0], extra[1][i])
-            per.append(tuple(pp))
-        p = HistoryPrefix(domain, t, players, tuple(per), included)
-        return tuple(profile[i].respond(t, p).action for i in range(n))
-
-    def probe_span(c, acts, open_start):
-        r = top
+    def probe_span(c, p, acts, open_start):
+        r = top  # every sample lies strictly between c and r
         for _ in range(6):
             span = r - c
-            if span <= 0:
-                return None
             points = sorted({c + span * f for f in PROBE_FRACTIONS}
                             | {c + span * _rand_fraction(rng) for _ in range(4)})
-            failed_at = None
             for s in points:
                 iv = Interval(c, s, not open_start, False)
-                got = query(s, False, (iv, acts))
+                q = _extended(p, s, [[(iv, a)] for a in acts])
+                got = tuple(st.respond(s, q).action for st in profile)
                 if got != acts:
                     transcript.append({
                         "from": to.format_point(c),
@@ -347,51 +329,38 @@ def _probe_trace(
                         "assumed": list(acts),
                         "answered": list(got),
                     })
-                    failed_at = s
                     break
-            if failed_at is None:
+            else:
                 return r
-            if failed_at > points[0]:
-                return failed_at
-            r = failed_at  # contradiction at the smallest sample: shrink
+            if s > points[0]:
+                return s
+            r = s  # contradiction at the smallest sample: shrink
         return None
 
-    c = pfx.cut
-    steps = 0
-    while steps < budget:
-        steps += 1
-        acts = query(c, False)
-        if c == top:
-            for i in range(n):
-                _append_piece(domain, pieces[i], to.singleton(top), acts[i])
-            h = PiecewiseHistory.build(
-                domain, players, {p: pieces[i] for i, p in enumerate(players)}
-            )
-            return AxiomReport(1, True, SAMPLED,
-                               witness={"history": history_to_json(h)})
-        r = probe_span(c, acts, open_start=False)
+    def step(c, p):
+        nonlocal steps
+        right = p.cut_included
+        if not right:
+            if steps >= budget:
+                return AxiomReport(1, None, SAMPLED, details="probe budget exhausted")
+            steps += 1
+        acts = tuple(s.respond(c, p).action for s in profile)
+        r = None if c == top else probe_span(c, p, acts, open_start=right)
         if r is not None:
-            iv = Interval(c, r, True, False)
-            for i in range(n):
-                _append_piece(domain, pieces[i], iv, acts[i])
-            c = r
-            continue
-        for i in range(n):
-            _append_piece(domain, pieces[i], to.singleton(c), acts[i])
-        acts2 = query(c, True)
-        r2 = probe_span(c, acts2, open_start=True)
-        if r2 is not None:
-            iv = Interval(c, r2, False, False)
-            for i in range(n):
-                _append_piece(domain, pieces[i], iv, acts2[i])
-            c = r2
-            continue
+            return acts, r
+        if not right:
+            return acts, c
         return AxiomReport(
             1, False, SAMPLED,
             witness={"stuck_at": to.format_point(c), "transcript": transcript},
             details=f"no constant continuation survives re-query just after {c}",
         )
-    return AxiomReport(1, None, SAMPLED, details="probe budget exhausted")
+
+    def close(pieces):
+        h = PiecewiseHistory.build(pfx.domain, pfx.players, dict(zip(pfx.players, pieces)))
+        return AxiomReport(1, True, SAMPLED, witness={"history": history_to_json(h)})
+
+    return _walk(pfx, step, close)
 
 
 def check_traceability(
@@ -523,19 +492,10 @@ def _find_deviation(
 ):
     """Sample extensions of pfx on [t, q) for q < s; return (q, answered) if
     the strategy ever deviates from `action`, else None."""
-    domain = pfx.domain
-    n = len(pfx.players)
     for _ in range(samples):
         q = t + (s - t) * _rand_fraction(rng)
-        ext = _random_extension(rng, n, alphabets, t, q)
-        per = []
-        for i in range(n):
-            pp = list(pfx.per_player[i])
-            for iv, a in ext[i]:
-                _append_piece(domain, pp, iv, a)
-            per.append(tuple(pp))
-        p = HistoryPrefix(domain, q, pfx.players, tuple(per), False)
-        got = strategy.respond(q, p).action
+        ext = _random_extension(rng, len(pfx.players), alphabets, t, q)
+        got = strategy.respond(q, _extended(pfx, q, ext)).action
         if got != action:
             return q, got
     return None

@@ -8,12 +8,13 @@ HistoryPrefix snapshot of it for every strategy.  The enumeration oracle
 checks the solver independently: it lists the consistent completions by
 a forward search that rejects each block of candidates at its first
 inconsistent time, and builds every prefix afresh with seq_to_prefix.
-On dense domains the solver runs an event loop over hold-witnesses: at
-each event time it queries every player, commits a constant stretch up to
-the earliest hold expiry, and repeats; singleton holds produce
-instantaneous pieces followed by a right-limit re-query.  Event times
-that keep accumulating below the horizon are reported as Zeno rather than
-silently truncated.
+On dense domains one event walk, `_walk`, runs the solver, the
+consistency walk and the traceability probe of `axioms`: at each event
+time a caller's step reads every player's action and the next bound, the
+walk commits a constant stretch up to it, and an instant gets a singleton
+piece and a right-limit re-query.  The solver's step reads hold-witnesses;
+event times that keep accumulating below the horizon are reported as Zeno
+rather than silently truncated.
 """
 
 from __future__ import annotations
@@ -178,6 +179,50 @@ def _append_piece(domain, pieces: list, iv: Interval, action: str):
     pieces.append((iv, action))
 
 
+def _walk(pfx: HistoryPrefix, step, close):
+    """The dense event walk from pfx's cut, shared by solve_dense, the
+    consistency walk and the traceability probe.
+
+    `step(c, p)` reads the actions at c from p, a snapshot of the pieces
+    committed so far, and returns (actions, r) with r >= c to commit them on
+    [c, r), or anything else to stop the walk with that result.  An r equal
+    to c commits the instant c; the step then reads the right limit from a
+    snapshot with p.cut_included and returns (actions, r2) for (c, r2).  At
+    the top the walk closes with a singleton and returns close(pieces).
+    Only equality is tested on r: an ordering comparison of Zeno event
+    times, whose denominators grow to 2^budget, costs far more.
+    """
+    domain, players = pfx.domain, pfx.players
+    pieces = [list(pp) for pp in pfx.per_player]
+    c = pfx.cut
+
+    def commit(iv: Interval, actions: tuple) -> None:
+        for pp, a in zip(pieces, actions):
+            _append_piece(domain, pp, iv, a)
+
+    def read(included: bool):
+        return step(c, HistoryPrefix(domain, c, players, tuple(map(tuple, pieces)),
+                                     included))
+
+    while True:
+        out = read(False)
+        if type(out) is not tuple:
+            return out
+        actions, r = out
+        if c == domain.top:
+            commit(to.singleton(c), actions)
+            return close(pieces)
+        closed = r != c
+        if not closed:
+            commit(to.singleton(c), actions)
+            out = read(True)
+            if type(out) is not tuple:
+                return out
+            actions, r = out
+        commit(Interval(c, r, closed, False), actions)
+        c = r
+
+
 def solve_dense(
     profile: Sequence[Strategy],
     pfx: HistoryPrefix,
@@ -201,117 +246,68 @@ def solve_dense(
         if s.black_box:
             raise MissingWitnessError(f"strategy of {s.player} has no hold-witness")
     top = domain.top
-    idx = list(order) if order is not None else list(range(len(players)))
-    pieces: list[list[Piece]] = [list(pp) for pp in pfx.per_player]
-    c = pfx.cut
-    prev_actions: Optional[tuple] = None
-    prev_holds: Optional[tuple] = None
-    events = []
-    stretch_starts = [c]
-    consumed = 0
+    n = len(players)
+    idx = list(order) if order is not None else range(n)
+    events = []  # one per query, so len(events) is the events consumed
 
-    def query(t: TimePoint, included: bool):
-        p = HistoryPrefix(
-            domain, t, players, tuple(tuple(pp) for pp in pieces), included
-        )
-        actions: list = [None] * len(players)
-        holds: list = [None] * len(players)
-        for i in idx:
-            r = profile[i].respond(t, p)
-            if r.hold_until is None:
-                raise MissingWitnessError(
-                    f"strategy of {players[i]} returned no hold at {t}"
-                )
-            actions[i] = r.action
-            holds[i] = min(r.hold_until, top)
-        return tuple(actions), tuple(holds)
+    def stop(outcome: str, diagnosis: str, **found) -> SolveResult:
+        return SolveResult(outcome, None, events, events_consumed=len(events),
+                           diagnosis=diagnosis, **found)
 
-    def finish() -> SolveResult:
-        history = PiecewiseHistory.build(
-            domain, players, {p: pieces[i] for i, p in enumerate(players)}
-        )
-        return SolveResult(UNIQUE, history, events, events_consumed=consumed)
-
-    def over_budget() -> SolveResult:
-        tail = stretch_starts[-9:]
+    def over_budget(c: TimePoint) -> SolveResult:
+        tail = [e[0] for e in events if e[1] == "at"][-8:] + [c]
         gaps = [b - a for a, b in zip(tail, tail[1:])]
         zeno = len(gaps) >= 3 and all(b < a for a, b in zip(gaps, gaps[1:]))
         if not zeno:
-            return SolveResult(BUDGET, None, events, events_consumed=consumed,
-                               diagnosis="event budget exhausted without accumulation")
+            return stop(BUDGET, "event budget exhausted without accumulation")
         diagnosis = "event times accumulate below the horizon"
         if gaps[-2] != 0 and gaps[-3] != 0:
             q1 = Fraction(gaps[-1]) / gaps[-2]
             q2 = Fraction(gaps[-2]) / gaps[-3]
             if q1 == q2 and 0 < q1 < 1:
-                return SolveResult(ZENO, None, events, events_consumed=consumed,
-                                   diagnosis=diagnosis,
-                                   accumulation=c + gaps[-1] * q1 / (1 - q1))
+                return stop(ZENO, diagnosis, accumulation=c + gaps[-1] * q1 / (1 - q1))
         # event times rise strictly below top, so any limit lies in (c, top]
-        return SolveResult(ZENO, None, events, events_consumed=consumed,
-                           diagnosis=diagnosis, accumulation_bounds=(c, top))
+        return stop(ZENO, diagnosis, accumulation_bounds=(c, top))
 
-    while True:
-        if consumed >= event_budget:
-            return over_budget()
-        consumed += 1
-        actions, holds = query(c, False)
-        events.append((c, "at", actions, holds))
-        if prev_holds is not None:
-            for i in range(len(players)):
+    def step(c: TimePoint, p: HistoryPrefix):
+        right = p.cut_included
+        if not right and len(events) >= event_budget:
+            return over_budget(c)
+        actions: list = [None] * n
+        holds: list = [None] * n
+        for i in idx:
+            res = profile[i].respond(c, p)
+            if res.hold_until is None:
+                raise MissingWitnessError(
+                    f"strategy of {players[i]} returned no hold at {c}"
+                )
+            actions[i] = res.action
+            holds[i] = min(res.hold_until, top)
+        actions, holds = tuple(actions), tuple(holds)
+        events.append((c, "after" if right else "at", actions, holds))
+        if not right and len(events) > 1:
+            _, _, prev_actions, prev_holds = events[-2]  # the last stretch's query
+            for i in range(n):
                 # equality first: a hold that ended exactly at c has expired
                 if actions[i] != prev_actions[i] and prev_holds[i] != c \
                         and prev_holds[i] > c:
-                    return SolveResult(
-                        NO_TRACE, None, events, events_consumed=consumed,
-                        diagnosis=(
-                            f"strategy of {players[i]} held {prev_actions[i]!r} "
-                            f"until {prev_holds[i]} but answered {actions[i]!r} at {c}"
-                        ),
-                    )
+                    return stop(NO_TRACE,
+                                f"strategy of {players[i]} held {prev_actions[i]!r} "
+                                f"until {prev_holds[i]} but answered {actions[i]!r} at {c}")
         r = min(holds)
+        if right and r <= c:
+            return stop(NO_TRACE, f"instantaneous hold repeated at {c}")
         if r < c:
-            return SolveResult(
-                NO_TRACE, None, events, events_consumed=consumed,
-                diagnosis=f"hold {r} earlier than query time {c}",
-            )
-        if c == top:
-            for i in range(len(players)):
-                _append_piece(domain, pieces[i], to.singleton(top), actions[i])
-            return finish()
-        if r == c:
-            # instantaneous actions at c, then a right-limit re-query
-            for i in range(len(players)):
-                _append_piece(domain, pieces[i], to.singleton(c), actions[i])
-            consumed += 1
-            actions2, holds2 = query(c, True)
-            events.append((c, "after", actions2, holds2))
-            r2 = min(holds2)
-            if r2 <= c:
-                return SolveResult(
-                    NO_TRACE, None, events, events_consumed=consumed,
-                    diagnosis=f"instantaneous hold repeated at {c}",
-                )
-            if jitter is not None and jitter.random() < 0.5:
-                mid = c + (r2 - c) / 2
-                if mid > c:
-                    r2 = mid
-            iv = Interval(c, r2, False, False)
-            for i in range(len(players)):
-                _append_piece(domain, pieces[i], iv, actions2[i])
-            prev_actions, prev_holds = actions2, holds2
-            c = r2
-        else:
-            if jitter is not None and jitter.random() < 0.5:
-                mid = c + (r - c) / 2
-                if mid > c:
-                    r = mid
-            iv = Interval(c, r, True, False)
-            for i in range(len(players)):
-                _append_piece(domain, pieces[i], iv, actions[i])
-            prev_actions, prev_holds = actions, holds
-            c = r
-        stretch_starts.append(c)
+            return stop(NO_TRACE, f"hold {r} earlier than query time {c}")
+        if jitter is not None and r != c and jitter.random() < 0.5:
+            r = c + (r - c) / 2  # exact, so still above c
+        return actions, r
+
+    def close(pieces: list) -> SolveResult:
+        history = PiecewiseHistory.build(domain, players, dict(zip(players, pieces)))
+        return SolveResult(UNIQUE, history, events, events_consumed=len(events))
+
+    return _walk(pfx, step, close)
 
 
 def _space_exceeds(base: int, n: int, limit: int) -> bool:

@@ -6,6 +6,7 @@ import pytest
 
 from totime import timeorder as to
 from totime.axioms import (
+    _sampled_consistent,
     check_frictionality,
     check_inertiality,
     check_initial_uniqueness,
@@ -108,6 +109,22 @@ def test_sampled_consistency_for_black_box():
     assert rep.consistent and rep.method == "sampled"
     h_bad = unit_history([(Interval(0, 1), "1")])
     assert is_consistent(h_bad, [mu]).consistent is False
+
+
+def test_walk_falls_back_to_sampling_with_the_callers_settings():
+    # not black boxes, but they never give a hold: the walk hands the check
+    # to sampling at its first query, with is_consistent's samples and seed
+    h = unit_history([(Interval(0, 1), "C")])
+    silent = Strategy("p1", lambda t, p: Response("C"), name="silent")
+    rep = is_consistent(h, [silent], samples=2)
+    assert rep.consistent is True and rep.method == "sampled"
+    assert rep.checked == 4  # the ends 0 and 1 and two samples
+    split = Strategy("p1", lambda t, p: Response("C" if t <= HALF else "D"), name="split")
+    full = to.make_interval_set(UNIT, [to.full_interval(UNIT)])
+    for seed in (0, 5):
+        want = _sampled_consistent([split], h, 0, full, 2, seed)
+        assert want.consistent is False
+        assert is_consistent(h, [split], samples=2, seed=seed) == want
 
 
 def test_walk_handles_singleton_pieces():

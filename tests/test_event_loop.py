@@ -129,6 +129,7 @@ def test_halving_solve_pays_no_redundant_order_logic(monkeypatch):
 
     for name in ("__lt__", "__le__", "__gt__", "__ge__"):
         count(Fraction, name, "cmp")
+        count(to.Point, name, "cmp")  # event times are Points
     count(Fraction, "__sub__", "sub")
     count(to, "strictly_precedes", "precedes")
     res = solve_dense(profile, pfx, event_budget=1024)

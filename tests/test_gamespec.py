@@ -2,7 +2,6 @@
 
 import json
 import math
-import signal
 from fractions import Fraction
 
 import pytest
@@ -216,32 +215,22 @@ def test_dense_payoff_two_segments_rho_zero():
     assert vec.lo["p1"] == vec.hi["p1"] == Fraction(3, 4)
 
 
-@pytest.fixture
-def fail_after_5s():
-    """Turn a hang into a test failure."""
-    old = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("still running after 5 s"))
-    signal.alarm(5)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, old)
-
-
 @pytest.mark.parametrize("x,eps", [(Fraction(-1, 2), Fraction(1, 10**9)),
                                    (Fraction(1, 2), Fraction(0))])
-def test_exp_neg_enclosure_rejects_negative_x_and_eps(x, eps, fail_after_5s):
+def test_exp_neg_enclosure_rejects_negative_x_and_eps(x, eps, within):
     with pytest.raises(ValueError):
-        exp_neg_enclosure(x, eps)
+        within(5, exp_neg_enclosure, x, eps)
 
 
 @pytest.mark.parametrize("tol", [Fraction(0), Fraction(-1, 10)])
-def test_payoff_rejects_non_positive_tolerance(tol, fail_after_5s):
+def test_payoff_rejects_non_positive_tolerance(tol, within):
     spec = parse_spec(json.dumps(grim_spec_dict()))
     h = PiecewiseHistory.build(
         spec.domain, spec.players,
         {p: [(Interval(Fraction(0), Fraction(1)), "C")] for p in spec.players},
     )
     with pytest.raises(BadParametersError):
-        evaluate_payoff(h, spec, tol=tol)
+        within(5, evaluate_payoff, h, spec, tol=tol)
 
 
 # -- command line ---------------------------------------------------------------
@@ -286,12 +275,16 @@ def test_cli_solve_out_then_payoff(tmp_path, capsys):
     assert lo <= 2 * (1 - e_lo) and hi >= 2 * (1 - e_hi)
 
 
-def test_cli_payoff_zero_tol_exits_2(tmp_path, capsys, fail_after_5s):
+def test_cli_payoff_zero_tol_exits_2(tmp_path, capsys, within):
     spec_path = write_json(tmp_path / "grim.json", grim_spec_dict())
     hist_path = str(tmp_path / "hist.json")
-    assert cli.main(["solve", spec_path, "--out", hist_path]) == 0
-    capsys.readouterr()
-    assert cli.main(["payoff", spec_path, hist_path, "--tol", "0"]) == 2
+
+    def solve_then_payoff():
+        assert cli.main(["solve", spec_path, "--out", hist_path]) == 0
+        capsys.readouterr()
+        return cli.main(["payoff", spec_path, hist_path, "--tol", "0"])
+
+    assert within(5, solve_then_payoff) == 2
     assert "tolerance" in capsys.readouterr().err
 
 
@@ -537,7 +530,7 @@ def test_cli_bad_seed_environment_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith("error:") and "TOTIME_SEED" in err
 
 
-def test_cli_payoff_400_changes_prints_short_bounds(tmp_path, capsys, fail_after_5s):
+def test_cli_payoff_400_changes_prints_short_bounds(tmp_path, capsys, within):
     """The bounds share one 2^p denominator instead of squaring up digits."""
     doc = grim_spec_dict()
     doc["domain"]["hi"] = "10"
@@ -553,7 +546,7 @@ def test_cli_payoff_400_changes_prints_short_bounds(tmp_path, capsys, fail_after
     hist = {"p1": alternating([Fraction(i, 40) for i in range(1, 400, 2)]),
             "p2": alternating([Fraction(i, 40) for i in range(2, 400, 2)])}
     hist_path = write_json(tmp_path / "hist.json", hist)
-    assert cli.main(["payoff", spec_path, hist_path, "--tol", "1e-40"]) == 0
+    assert within(5, cli.main, ["payoff", spec_path, hist_path, "--tol", "1e-40"]) == 0
     out = json.loads(capsys.readouterr().out)
     for bounds in out.values():
         lo, hi = Fraction(bounds["lo"]), Fraction(bounds["hi"])

@@ -5,8 +5,12 @@ rendering, and scripted strategies and the consistency walk look pieces
 up through a cursor.  `old_dense_walk`, `old_contains` and
 `old_interval_error` are the consistency walk and the `Interval` checks as
 they were before; they stay here as oracles, next to the plain
-`f"...{seq!r}"` payload.  The guards count full prefix renders and bisects,
-so per-query O(prefix) or O(log pieces) work cannot come back unnoticed.
+`f"...{seq!r}"` payload.  `old_solve_dense` and `old_probe_trace` are the
+dense solver and the traceability probe with their own loops, before the
+three walks shared one event walk; the differential tests compare the
+reports of each old loop with the new code.  The guards count full prefix
+renders and bisects, so per-query O(prefix) or O(log pieces) work cannot
+come back unnoticed.
 """
 
 import hashlib
@@ -21,23 +25,46 @@ from hypothesis import strategies as st
 from totime import histories, strategies
 from totime import timeorder as to
 from totime.axioms import (
+    PROBE_FRACTIONS,
+    SAMPLED,
     WITNESS_BASED,
+    AxiomReport,
     ConsistencyReport,
+    _frozen_profile,
+    _rand_fraction,
     _sampled_consistent,
+    check_traceability,
     is_consistent,
 )
+from totime.errors import MissingWitnessError
 from totime.gamespec import build_profile, parse_spec
 from totime.histories import (
+    HistoryPrefix,
     PiecewiseHistory,
     empty_prefix,
+    history_to_json,
     index_after,
     index_at,
     prefix,
 )
-from totime.solver import UNIQUE, solve_chain, solve_dense, verify_unique
+from totime.solver import (
+    BUDGET,
+    NO_TRACE,
+    UNIQUE,
+    ZENO,
+    SolveResult,
+    _append_piece,
+    solve_chain,
+    solve_dense,
+    verify_unique,
+)
 from totime.strategies import (
+    Response,
+    Strategy,
     make_constant,
+    make_gallery,
     make_grim_trigger,
+    make_halving_hold,
     make_random_table,
     make_scripted,
 )
@@ -332,15 +359,217 @@ def old_dense_walk(profile, h: PiecewiseHistory, t, target, budget) -> Consisten
                              diagnosis="verification budget exhausted", checked=steps)
 
 
+def old_solve_dense(profile, pfx, event_budget=4096, order=None, jitter=None) -> SolveResult:
+    """`solver.solve_dense` with its own event loop, before the walks shared one kernel."""
+    domain = pfx.domain
+    players = pfx.players
+    top = domain.top
+    idx = list(order) if order is not None else list(range(len(players)))
+    pieces = [list(pp) for pp in pfx.per_player]
+    c = pfx.cut
+    prev_actions = prev_holds = None
+    events = []
+    stretch_starts = [c]
+    consumed = 0
+
+    def query(t, included):
+        p = HistoryPrefix(domain, t, players, tuple(tuple(pp) for pp in pieces), included)
+        actions = [None] * len(players)
+        holds = [None] * len(players)
+        for i in idx:
+            r = profile[i].respond(t, p)
+            if r.hold_until is None:
+                raise MissingWitnessError(f"strategy of {players[i]} returned no hold at {t}")
+            actions[i] = r.action
+            holds[i] = min(r.hold_until, top)
+        return tuple(actions), tuple(holds)
+
+    def finish():
+        history = PiecewiseHistory.build(
+            domain, players, {p: pieces[i] for i, p in enumerate(players)})
+        return SolveResult(UNIQUE, history, events, events_consumed=consumed)
+
+    def over_budget():
+        tail = stretch_starts[-9:]
+        gaps = [b - a for a, b in zip(tail, tail[1:])]
+        zeno = len(gaps) >= 3 and all(b < a for a, b in zip(gaps, gaps[1:]))
+        if not zeno:
+            return SolveResult(BUDGET, None, events, events_consumed=consumed,
+                               diagnosis="event budget exhausted without accumulation")
+        diagnosis = "event times accumulate below the horizon"
+        if gaps[-2] != 0 and gaps[-3] != 0:
+            q1 = Fraction(gaps[-1]) / gaps[-2]
+            q2 = Fraction(gaps[-2]) / gaps[-3]
+            if q1 == q2 and 0 < q1 < 1:
+                return SolveResult(ZENO, None, events, events_consumed=consumed,
+                                   diagnosis=diagnosis,
+                                   accumulation=c + gaps[-1] * q1 / (1 - q1))
+        return SolveResult(ZENO, None, events, events_consumed=consumed,
+                           diagnosis=diagnosis, accumulation_bounds=(c, top))
+
+    while True:
+        if consumed >= event_budget:
+            return over_budget()
+        consumed += 1
+        actions, holds = query(c, False)
+        events.append((c, "at", actions, holds))
+        if prev_holds is not None:
+            for i in range(len(players)):
+                if actions[i] != prev_actions[i] and prev_holds[i] != c \
+                        and prev_holds[i] > c:
+                    return SolveResult(
+                        NO_TRACE, None, events, events_consumed=consumed,
+                        diagnosis=(
+                            f"strategy of {players[i]} held {prev_actions[i]!r} "
+                            f"until {prev_holds[i]} but answered {actions[i]!r} at {c}"
+                        ),
+                    )
+        r = min(holds)
+        if r < c:
+            return SolveResult(NO_TRACE, None, events, events_consumed=consumed,
+                               diagnosis=f"hold {r} earlier than query time {c}")
+        if c == top:
+            for i in range(len(players)):
+                _append_piece(domain, pieces[i], to.singleton(top), actions[i])
+            return finish()
+        if r == c:
+            for i in range(len(players)):
+                _append_piece(domain, pieces[i], to.singleton(c), actions[i])
+            consumed += 1
+            actions2, holds2 = query(c, True)
+            events.append((c, "after", actions2, holds2))
+            r2 = min(holds2)
+            if r2 <= c:
+                return SolveResult(NO_TRACE, None, events, events_consumed=consumed,
+                                   diagnosis=f"instantaneous hold repeated at {c}")
+            if jitter is not None and jitter.random() < 0.5:
+                mid = c + (r2 - c) / 2
+                if mid > c:
+                    r2 = mid
+            iv = Interval(c, r2, False, False)
+            for i in range(len(players)):
+                _append_piece(domain, pieces[i], iv, actions2[i])
+            prev_actions, prev_holds = actions2, holds2
+            c = r2
+        else:
+            if jitter is not None and jitter.random() < 0.5:
+                mid = c + (r - c) / 2
+                if mid > c:
+                    r = mid
+            iv = Interval(c, r, True, False)
+            for i in range(len(players)):
+                _append_piece(domain, pieces[i], iv, actions[i])
+            prev_actions, prev_holds = actions, holds
+            c = r
+        stretch_starts.append(c)
+
+
+def old_probe_trace(profile, pfx, budget, rng) -> AxiomReport:
+    """`axioms._probe_trace` with its own loop, before the walks shared one kernel."""
+    domain = pfx.domain
+    players = pfx.players
+    top = domain.top
+    n = len(players)
+    pieces = [list(pp) for pp in pfx.per_player]
+    transcript = []
+
+    def query(t, included, extra=None):
+        per = []
+        for i in range(n):
+            pp = list(pieces[i])
+            if extra is not None:
+                _append_piece(domain, pp, extra[0], extra[1][i])
+            per.append(tuple(pp))
+        p = HistoryPrefix(domain, t, players, tuple(per), included)
+        return tuple(profile[i].respond(t, p).action for i in range(n))
+
+    def probe_span(c, acts, open_start):
+        r = top
+        for _ in range(6):
+            span = r - c
+            if span <= 0:
+                return None
+            points = sorted({c + span * f for f in PROBE_FRACTIONS}
+                            | {c + span * _rand_fraction(rng) for _ in range(4)})
+            failed_at = None
+            for s in points:
+                iv = Interval(c, s, not open_start, False)
+                got = query(s, False, (iv, acts))
+                if got != acts:
+                    transcript.append({"from": to.format_point(c),
+                                       "probe_at": to.format_point(s),
+                                       "assumed": list(acts), "answered": list(got)})
+                    failed_at = s
+                    break
+            if failed_at is None:
+                return r
+            if failed_at > points[0]:
+                return failed_at
+            r = failed_at
+        return None
+
+    c = pfx.cut
+    steps = 0
+    while steps < budget:
+        steps += 1
+        acts = query(c, False)
+        if c == top:
+            for i in range(n):
+                _append_piece(domain, pieces[i], to.singleton(top), acts[i])
+            h = PiecewiseHistory.build(
+                domain, players, {p: pieces[i] for i, p in enumerate(players)})
+            return AxiomReport(1, True, SAMPLED, witness={"history": history_to_json(h)})
+        r = probe_span(c, acts, open_start=False)
+        if r is not None:
+            iv = Interval(c, r, True, False)
+            for i in range(n):
+                _append_piece(domain, pieces[i], iv, acts[i])
+            c = r
+            continue
+        for i in range(n):
+            _append_piece(domain, pieces[i], to.singleton(c), acts[i])
+        acts2 = query(c, True)
+        r2 = probe_span(c, acts2, open_start=True)
+        if r2 is not None:
+            iv = Interval(c, r2, False, False)
+            for i in range(n):
+                _append_piece(domain, pieces[i], iv, acts2[i])
+            c = r2
+            continue
+        return AxiomReport(
+            1, False, SAMPLED,
+            witness={"stuck_at": to.format_point(c), "transcript": transcript},
+            details=f"no constant continuation survives re-query just after {c}",
+        )
+    return AxiomReport(1, None, SAMPLED, details="probe budget exhausted")
+
+
+STRATEGY_KINDS = ["h", "h", "g", "grim", "constant", "halving",
+              "over", "instant", "early", "none"]
+
+
 @st.composite
 def walk_cases(draw):
-    """A history, a second one on the same game, and per-player strategy kinds."""
+    """A history, a second one on the same game, per-player strategy kinds, a
+    start (a grid point or a piece boundary of h, often an instant) and a budget."""
     h = draw(dense_histories())
     g = history_on(draw, h.domain, h.players)
-    kinds = [draw(st.sampled_from(["h", "h", "g", "grim", "constant"])) for _ in h.players]
+    kinds = [draw(st.sampled_from(STRATEGY_KINDS)) for _ in h.players]
     start = draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(3, 4)]))
-    t = h.domain.lo + (h.domain.hi - h.domain.lo) * start
-    return h, g, kinds, t, draw(st.sampled_from([3, 4096]))
+    t = draw(st.sampled_from([h.domain.lo + (h.domain.hi - h.domain.lo) * start,
+                              *h.change_times()]))
+    return h, g, kinds, t, draw(st.sampled_from([3, 8, 40, 600]))
+
+
+def broken_hold(p, domain, pieces, kind):
+    """A script whose holds lie: `over` holds to the top through its changes,
+    `instant` claims an instant at every query, `early` a hold at the minimum,
+    and `none` gives no hold without being a black box."""
+    script = make_scripted(p, domain, pieces)
+    hold = {"over": lambda t: domain.top, "instant": lambda t: t,
+            "early": lambda t: domain.lo, "none": lambda t: None}[kind]
+    return Strategy(p, lambda t, q: Response(script.respond(t, q).action, hold(t)),
+                    name=f"broken({kind})")
 
 
 def walk_profile(h, g, kinds):
@@ -351,8 +580,12 @@ def walk_profile(h, g, kinds):
             out.append(make_scripted(p, h.domain, (h if kind == "h" else g).per_player[i]))
         elif kind == "grim":
             out.append(make_grim_trigger(p, "C", "D", width / 5, ("C", "D"), h.domain))
-        else:
+        elif kind == "constant":
             out.append(make_constant(p, "C", ("C", "D"), h.domain))
+        elif kind == "halving":
+            out.append(make_halving_hold(p, ("C", "D"), h.domain))
+        else:
+            out.append(broken_hold(p, h.domain, g.per_player[i], kind))
     return out
 
 
@@ -363,6 +596,65 @@ def test_dense_walk_matches_old_walk(case):
     window = to.make_interval_set(h.domain, [to.from_t(h.domain, t)])
     got = is_consistent(h, walk_profile(h, g, kinds), t, budget=budget)
     want = old_dense_walk(walk_profile(h, g, kinds), h, t, window, budget)
+    assert got.to_json() == want.to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_cases(), st.randoms(use_true_random=False), st.none() | st.integers(0, 9))
+def test_solve_dense_matches_old_solve(case, rnd, jitter):
+    """From h's prefix at t, under a shuffled query order and optional jitter."""
+    h, g, kinds, t, budget = case
+    order = list(range(len(h.players)))
+    rnd.shuffle(order)
+
+    def run(solve):
+        try:
+            return solve(walk_profile(h, g, kinds), prefix(h, t), budget, order,
+                         None if jitter is None else random.Random(jitter)).to_json()
+        except MissingWitnessError as e:
+            return str(e)
+
+    assert run(solve_dense) == run(old_solve_dense)
+
+
+def black_box(strategy):
+    """The strategy's actions without its holds."""
+    respond = strategy.respond
+    return Strategy(strategy.player, lambda t, q: Response(respond(t, q).action, None),
+                    name=f"black_box({strategy.name})", black_box=True)
+
+
+@st.composite
+def probe_cases(draw):
+    """A black-box strategy at (t, h): a gallery strategy for p1, or any
+    strategy kind with its holds dropped."""
+    domain = draw(st.sampled_from(DOMAINS + [DenseInterval(Fraction(0), Fraction(1))]))
+    players = tuple(f"p{i}" for i in range(1, draw(st.integers(1, 3)) + 1))
+    h = history_on(draw, domain, players)
+    g = history_on(draw, domain, players)
+    i = draw(st.integers(0, len(players) - 1))
+    kind = draw(st.sampled_from(["no_trace", "multi", *STRATEGY_KINDS]))
+    if kind in ("no_trace", "multi"):
+        i = 0  # the gallery strategies play p1
+
+    def strategy():
+        if kind in ("no_trace", "multi"):
+            return make_gallery(kind, domain.hi)
+        kinds = ["constant"] * len(players)
+        kinds[i] = kind
+        return black_box(walk_profile(h, g, kinds)[i])
+
+    t = draw(st.sampled_from([domain.lo, *h.change_times()]))
+    return h, strategy, t, draw(st.sampled_from([1, 4, 64])), draw(st.integers(0, 9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(probe_cases())
+def test_probe_trace_matches_old_probe(case):
+    h, strategy, t, budget, seed = case
+    got = check_traceability(strategy(), t, h, event_budget=budget, seed=seed)
+    want = old_probe_trace(_frozen_profile(strategy(), h), prefix(h, t), budget,
+                           random.Random(seed))
     assert got.to_json() == want.to_json()
 
 
@@ -441,8 +733,10 @@ def test_scripted_lookups_bisect_once_per_dense_run(monkeypatch, domain):
     assert right_limits  # the scripts have instants
     assert verify_unique(profile, pfx, res)  # six reruns
     assert len(bisects) <= 7 * len(profile) + len(right_limits)
-    # the consistency walk: one cursor per script and one per history player
+    # the walk starts at h's first piece here, so its cursors on h never
+    # bisect (from a later start they bisect once per player, at the start)
+    # and only each script's lookups count
     bisects.clear()
     right_limits.clear()
     assert is_consistent(res.history, profile).consistent is True
-    assert len(bisects) <= 2 * (len(profile) + len(right_limits))
+    assert len(bisects) <= len(profile) + len(right_limits)

@@ -12,7 +12,6 @@ or printing a huge power.
 
 import itertools
 import json
-import signal
 
 import pytest
 from hypothesis import given, settings
@@ -205,29 +204,7 @@ def test_space_check_is_exact_at_the_limit():
 # -- guards -------------------------------------------------------------------
 
 
-class Overtime(Exception):
-    """Raised by the alarm; not an OSError, so cli.main lets it through."""
-
-
-def within(seconds, fn, *args):
-    """fn(*args), failing the test if it is still running after `seconds`."""
-
-    def on_alarm(*_):
-        raise Overtime
-
-    old = signal.signal(signal.SIGALRM, on_alarm)
-    signal.alarm(seconds)
-    try:
-        return fn(*args)
-    except Overtime:
-        pass
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-    pytest.fail(f"still running after {seconds} s")
-
-
-def test_oracle_on_4_to_the_11_candidates_is_fast():
+def test_oracle_on_4_to_the_11_candidates_is_fast(within):
     # the product loop walks all 4,194,304 candidates, about 4 s
     domain = FiniteChain(11)
     players = ("p1", "p2")
@@ -249,7 +226,7 @@ def big_chain_spec(size):
 
 
 @pytest.mark.parametrize("size", [8000, 10**7])
-def test_cli_oracle_on_a_huge_space_exits_2(tmp_path, capsys, size):
+def test_cli_oracle_on_a_huge_space_exits_2(tmp_path, capsys, size, within):
     # 27^8000 has more digits than int-to-str allows; 27^(10^7) takes
     # seconds to compute at all
     spec_path = tmp_path / "chain.json"
