@@ -133,7 +133,8 @@ def _dense_walk(
     A step ends at the earliest hold or end of a piece of h.  Until the
     first disagreement the walk's pieces equal h's prefix, so strategies
     see h; h itself is read through one cursor per player.  A strategy
-    without a hold hands the rest of the check to sampling.
+    without a hold, at a query or at a right-limit re-query, hands the rest
+    of the check to sampling.
     """
     top = h.domain.top
     per = h.per_player
@@ -151,11 +152,13 @@ def _dense_walk(
                 return report(None, diagnosis="verification budget exhausted")
             steps += 1
         resp = [s.respond(c, p) for s in profile]
+        if any(r.hold_until is None for r in resp):
+            return _sampled_consistent(profile, h, c, target, samples, seed)
         actions = tuple(r.action for r in resp)
         if p.cut_included:
             r2 = top
             for i, r in enumerate(resp):
-                if r.hold_until is None or r.hold_until <= c:
+                if r.hold_until <= c:
                     return report(False, c, f"strategy of {h.players[i]} repeats an "
                                             f"instantaneous hold at {c}")
                 # h's piece just after c: the piece at c, or the next one if
@@ -168,8 +171,6 @@ def _dense_walk(
                                             f"{r.action!r}")
                 r2 = min(r2, r.hold_until, iv.hi)
             return actions, r2
-        if any(r.hold_until is None for r in resp):
-            return _sampled_consistent(profile, h, c, target, samples, seed)
         for i, pieces in enumerate(per):
             at_c[i] = index_at(pieces, c, at_c[i])
         hval = tuple(per[i][k][1] for i, k in enumerate(at_c))
@@ -357,7 +358,7 @@ def _probe_trace(
         )
 
     def close(pieces):
-        h = PiecewiseHistory.build(pfx.domain, pfx.players, dict(zip(pfx.players, pieces)))
+        h = PiecewiseHistory.from_walk(pfx.domain, pfx.players, pieces)
         return AxiomReport(1, True, SAMPLED, witness={"history": history_to_json(h)})
 
     return _walk(pfx, step, close)

@@ -4,7 +4,9 @@ All results go to stdout as JSON; diagnostics go to stderr.  Exit codes:
 solve maps its outcome (0 Unique, 3 NoTrace, 4 Zeno, 5 Budget); check
 returns 0 when every requested axiom passes, 1 on any failure, 2 on any
 inconclusive verdict; other commands return 0 on success and 2 on usage
-or input errors.  TOTIME_SEED overrides the spec's seed.
+or input errors.  TOTIME_SEED overrides the spec's seed.  A long solve
+prints only its first and last events (SolveResult.to_json); `solve
+--trace FILE` writes every event there, one JSON object per line.
 """
 
 from __future__ import annotations
@@ -36,7 +38,13 @@ from .histories import (
     history_to_json,
 )
 from .partitions import meet2, partition_from_blocks
-from .solver import DEFAULT_EVENT_BUDGET, oracle_enumerate, solve_chain, solve_dense
+from .solver import (
+    DEFAULT_EVENT_BUDGET,
+    oracle_enumerate,
+    render_events,
+    solve_chain,
+    solve_dense,
+)
 from .timeorder import interval_from_json
 
 SOLVE_EXIT = {"unique": 0, "no_trace": 3, "zeno": 4, "budget": 5}
@@ -83,6 +91,10 @@ def cmd_solve(args) -> int:
     spec = parse_spec(_load_json(args.spec))
     profile = build_profile(spec, _seed_for(spec, args))
     result = _solve(spec, profile, args.budget)
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as f:
+            for row in render_events(result.events):
+                f.write(json.dumps(row) + "\n")
     _emit(result.to_json())
     if args.out and result.history is not None:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -249,6 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--budget", type=int, default=DEFAULT_EVENT_BUDGET)
     p.add_argument("--out", help="write the history JSON here")
+    p.add_argument("--trace", metavar="FILE",
+                   help="write every event here, one JSON object per line")
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_solve)
 

@@ -79,6 +79,37 @@ def canonical_pieces(
     return tuple(merged)
 
 
+def walked_pieces(domain: TimeDomain, pieces: Sequence[Piece]) -> tuple[Piece, ...]:
+    """canonical_pieces over the whole domain for pieces already in time
+    order, as the event walk leaves them, in one pass.
+
+    The pieces must start at min T, closed, abut pairwise and end at the
+    top, closed; a bad tiling raises CoverageGapError or
+    CoverageOverlapError as in canonical_pieces.  Equal-action neighbours,
+    which only a caller's unmerged prefix leaves, are merged.
+    """
+    if not pieces:
+        raise CoverageGapError("no pieces for a nonempty time set")
+    first = pieces[0][0]
+    if first.lo != domain.min or not first.lo_closed:
+        raise CoverageGapError(f"coverage starts at {first.lo}, expected {domain.min}")
+    merged: list[Piece] = [pieces[0]]
+    for b, action in pieces[1:]:
+        a, prev_action = merged[-1]
+        if not to.abuts(domain, a, b):
+            if to.intersect(a, b) is not None:
+                raise CoverageOverlapError(f"pieces {a} and {b} overlap")
+            raise CoverageGapError(f"gap between {a} and {b}")
+        if action == prev_action:
+            merged[-1] = (Interval(a.lo, b.hi, a.lo_closed, b.hi_closed), action)
+        else:
+            merged.append((b, action))
+    last = merged[-1][0]
+    if last.hi != domain.top or not last.hi_closed:
+        raise CoverageGapError(f"coverage ends at {last.hi}, expected {domain.top}")
+    return tuple(merged)
+
+
 def _scan_start(pieces: Sequence[Piece], t: TimePoint) -> int:
     """Index of the first sorted piece that can cover t or the times just
     after it: every earlier piece ends strictly below t."""
@@ -110,13 +141,23 @@ def piece_at(pieces: Sequence[Piece], t: TimePoint) -> Optional[Piece]:
     return None if k is None else pieces[k]
 
 
-def index_after(pieces: Sequence[Piece], t: TimePoint) -> Optional[int]:
+def index_after(pieces: Sequence[Piece], t: TimePoint,
+                hint: Optional[int] = None) -> Optional[int]:
     """Index of the first piece covering times just after t (or starting
-    above t), or None."""
+    above t), or None.
+
+    Those are exactly the pieces that end above t.  As in index_at, a
+    forward walk's `hint` and the piece after it are tried first; the hint
+    is used only when the piece before it ends at or below t, and a miss
+    falls back to the bisect over piece starts.
+    """
+    if hint is not None and (hint == 0 or (hint <= len(pieces)
+                                           and pieces[hint - 1][0].hi <= t)):
+        for k in (hint, hint + 1):
+            if k < len(pieces) and pieces[k][0].hi > t:
+                return k
     for k in range(_scan_start(pieces, t), len(pieces)):
-        iv = pieces[k][0]
-        if (iv.contains(t) and iv.hi > t) or (iv.lo == t and not iv.lo_closed) \
-                or iv.lo > t:
+        if pieces[k][0].hi > t:
             return k
     return None
 
@@ -180,6 +221,17 @@ class PiecewiseHistory:
             canonical_pieces(domain, pieces_by_player[p], cover) for p in players
         )
         return PiecewiseHistory(domain, tuple(players), per)
+
+    @staticmethod
+    def from_walk(
+        domain: TimeDomain,
+        players: Sequence[str],
+        per_player: Sequence[Sequence[Piece]],
+    ) -> "PiecewiseHistory":
+        """The history of per-player pieces already in time order, checked
+        by walked_pieces in one pass instead of build's sort."""
+        return PiecewiseHistory(domain, tuple(players),
+                                tuple(walked_pieces(domain, pp) for pp in per_player))
 
     def pieces_for(self, player: str) -> tuple[Piece, ...]:
         return self.per_player[self.players.index(player)]

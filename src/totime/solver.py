@@ -23,7 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     MissingWitnessError,
@@ -47,6 +47,36 @@ ZENO = "zeno"
 BUDGET = "budget"
 
 
+# A rendered solve keeps this many events at each end; a Zeno run is
+# witnessed by its run into the limit point, not by every event before it.
+WITNESS_EDGE = 16
+
+
+def render_events(events: Sequence[tuple]) -> Iterator[dict]:
+    """Yield the JSON object of each (time, kind, actions, holds) event.
+
+    A stretch's hold is the same object as the next event time, so each
+    point object is formatted once.  The memo is keyed by id(), not by
+    value: dyadic points have colliding hashes, and every point stays alive
+    in `events` while the memo exists.
+    """
+    memo: dict = {}
+
+    def fmt(t):
+        s = memo.get(id(t))
+        if s is None:
+            s = memo[id(t)] = to.format_point(t)
+        return s
+
+    for time, kind, actions, holds in events:
+        yield {
+            "time": fmt(time),
+            "kind": kind,
+            "actions": list(actions),
+            "holds": [None if h is None else fmt(h) for h in holds],
+        }
+
+
 @dataclass
 class SolveResult:
     outcome: str
@@ -59,32 +89,20 @@ class SolveResult:
     accumulation_bounds: Optional[tuple] = None
 
     def to_json(self) -> dict:
+        """The result as JSON, with a bounded witness: past 2 * WITNESS_EDGE
+        events, `events` holds the first and the last WITNESS_EDGE of them
+        and `events_omitted` counts the rest."""
         from .histories import history_to_json
 
-        # A stretch's hold is the same object as the next event time, so
-        # each point object is formatted once.  The memo is keyed by id(),
-        # not by value: dyadic points have colliding hashes, and every
-        # point stays alive in self.events while the memo exists.
-        memo: dict = {}
-
-        def fmt(t):
-            s = memo.get(id(t))
-            if s is None:
-                s = memo[id(t)] = to.format_point(t)
-            return s
-
+        events = self.events
+        omitted = max(0, len(events) - 2 * WITNESS_EDGE)
+        if omitted:
+            events = events[:WITNESS_EDGE] + events[-WITNESS_EDGE:]
         out = {
             "outcome": self.outcome,
             "events_consumed": self.events_consumed,
-            "events": [
-                {
-                    "time": fmt(time),
-                    "kind": kind,
-                    "actions": list(actions),
-                    "holds": [None if h is None else fmt(h) for h in holds],
-                }
-                for time, kind, actions, holds in self.events
-            ],
+            "events_omitted": omitted,
+            "events": list(render_events(events)),
         }
         if self.history is not None:
             out["history"] = history_to_json(self.history)
@@ -304,7 +322,7 @@ def solve_dense(
         return actions, r
 
     def close(pieces: list) -> SolveResult:
-        history = PiecewiseHistory.build(domain, players, dict(zip(players, pieces)))
+        history = PiecewiseHistory.from_walk(domain, players, pieces)
         return SolveResult(UNIQUE, history, events, events_consumed=len(events))
 
     return _walk(pfx, step, close)

@@ -281,7 +281,7 @@ def make_scripted(
             return Response(eval_pieces(script, t), None)
         if p.cut_included and p.cut == t:
             # right-limit query: the action on a small open interval (t, r)
-            k = index_after(script, t)
+            k = index_after(script, t, hint)
             if k is None:
                 raise MissingEntryError(f"script of {player} has nothing after {t}")
             hint = k

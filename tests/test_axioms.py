@@ -151,6 +151,24 @@ def test_walk_accepts_a_right_limit_hold_at_zero():
     assert rep.consistent is True, rep.diagnosis
 
 
+def test_walk_samples_when_a_right_limit_query_has_no_hold():
+    # the history plays exactly what the strategy answers; only the
+    # right-limit re-query at the instant 1/2 comes without a hold, which
+    # hands the check to sampling as a missing hold at a query does
+    pieces = [(Interval(0, HALF, True, False), "C"),
+              (Interval(HALF, HALF), "D"),
+              (Interval(HALF, 1, False, True), "C")]
+    script = make_scripted("p1", UNIT, pieces)
+
+    def respond(t, p):
+        r = script.respond(t, p)
+        return Response(r.action) if p.cut_included and p.cut == t else r
+
+    rep = is_consistent(unit_history(pieces), [Strategy("p1", respond, name="quiet")])
+    assert rep.consistent is not False, rep.diagnosis
+    assert rep.method == "sampled"
+
+
 # -- Axiom 1 --------------------------------------------------------------------
 
 
@@ -172,6 +190,27 @@ def test_traceability_no_trace_fails_with_transcript():
     rep = check_traceability(nt, Fraction(0), unit_history(ALL_ZERO))
     assert rep.passed is False and rep.method == "sampled"
     assert rep.witness["transcript"]  # contradiction probes recorded
+
+
+def test_traceability_no_trace_witness_is_bounded():
+    # 64 runs of the opponent make an event each; p1 holds C to the top but
+    # answers D at 3/4, the 49th event, which is the contradiction
+    players = ("p1", "p2")
+    bounds = [Fraction(k, 64) for k in range(65)]
+    h = PiecewiseHistory.build(UNIT, players, {
+        "p1": [(to.full_interval(UNIT), "C")],
+        "p2": [(Interval(a, b, True, b == 1), "CD"[k % 2])
+               for k, (a, b) in enumerate(zip(bounds, bounds[1:]))],
+    })
+    liar = Strategy("p1", lambda t, p: Response("C" if t < Fraction(3, 4) else "D", 1),
+                    name="liar")
+    rep = check_traceability(liar, Fraction(0), h)
+    assert rep.passed is False and rep.method == "witness-based"
+    events = rep.witness["events"]
+    assert len(events) == 32
+    assert events[-1] == {"time": "3/4", "kind": "at", "actions": ["D", "C"],
+                          "holds": ["1", "49/64"]}
+    assert "answered 'D' at 3/4" in rep.details
 
 
 def test_traceability_multi_finds_a_completion():

@@ -148,22 +148,38 @@ def test_to_json_formats_each_event_point_once(monkeypatch):
     calls = []
     fmt = to.format_point
     monkeypatch.setattr(to, "format_point", lambda t: calls.append(t) or fmt(t))
+    rows = list(solver.render_events(res.events))
+    # one string per event time, plus the horizon (p2's hold) and p1's
+    # last hold; formatting per field takes 3 per event
+    assert len(rows) == res.events_consumed
+    assert len(calls) <= res.events_consumed + 2
+    calls.clear()
     res.to_json()
-    # one string per event time, plus the horizon (p2's hold), p1's last
-    # hold and the accumulation point; formatting per field takes 3 per event
-    assert len(calls) <= res.events_consumed + 3
+    # the 32 events shown, one hold at the seam between head and tail, the
+    # horizon, p1's last hold and the accumulation point
+    assert len(calls) <= 2 * solver.WITNESS_EDGE + 4
+
+
+def plain_event(event):
+    """One event's JSON object, with no memo."""
+    t, kind, actions, holds = event
+    return {"time": to.format_point(t), "kind": kind, "actions": list(actions),
+            "holds": [None if h is None else to.format_point(h) for h in holds]}
 
 
 def plain_rendering(res):
-    """SolveResult.to_json spelled out field by field, with no memo."""
+    """SolveResult.to_json spelled out field by field, with no memo.
+
+    Up to 32 events are all shown; past that, `events` holds the first 16
+    and the last 16, and `events_omitted` counts the ones in between.
+    """
+    n = len(res.events)
+    shown = range(n) if n <= 32 else [*range(16), *range(n - 16, n)]
     out = {
         "outcome": res.outcome,
         "events_consumed": res.events_consumed,
-        "events": [
-            {"time": to.format_point(t), "kind": kind, "actions": list(actions),
-             "holds": [None if h is None else to.format_point(h) for h in holds]}
-            for t, kind, actions, holds in res.events
-        ],
+        "events_omitted": n - len(shown),
+        "events": [plain_event(res.events[k]) for k in shown],
     }
     if res.history is not None:
         out["history"] = history_to_json(res.history)
@@ -179,15 +195,19 @@ def plain_rendering(res):
 ZENO_DOMAINS = [("0", "1"), ("-1", "2"), ("1/2", "3"), ("-2", "-1/2")]
 
 
-@pytest.mark.parametrize("budget", [64, 1024])
-@pytest.mark.parametrize("lo, hi", ZENO_DOMAINS)
-def test_cli_zeno_solve_is_the_plain_rendering(tmp_path, capsys, lo, hi, budget):
-    doc = {
+def zeno_doc(lo, hi):
+    return {
         "domain": {"kind": "dense", "lo": lo, "hi": hi},
         "players": [{"id": p, "actions": ["C", "D"]} for p in ("p1", "p2")],
         "strategies": [{"kind": "halving", "player": "p1", "cycle": ["C", "D"]},
                        {"kind": "constant", "player": "p2", "action": "C"}],
     }
+
+
+@pytest.mark.parametrize("budget", [64, 1024])
+@pytest.mark.parametrize("lo, hi", ZENO_DOMAINS)
+def test_cli_zeno_solve_is_the_plain_rendering(tmp_path, capsys, lo, hi, budget):
+    doc = zeno_doc(lo, hi)
     path = tmp_path / "zeno.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["solve", str(path), "--budget", str(budget)]) == 4
@@ -215,3 +235,69 @@ def test_jittered_dense_solve_is_the_plain_rendering(seed):
                       jitter=random.Random(seed))
     assert res.outcome == solver.UNIQUE
     assert json.dumps(res.to_json(), indent=2) == json.dumps(plain_rendering(res), indent=2)
+
+
+@pytest.mark.parametrize("budget", [31, 32, 33, 64])
+def test_to_json_shows_the_first_and_last_events(budget):
+    domain = DenseInterval(Fraction(-1), Fraction(2))
+    res = solve_dense(halving_profile(domain), empty_prefix(domain, ("p1", "p2")),
+                      event_budget=budget)
+    assert len(res.events) == res.events_consumed == budget  # the library keeps all
+    out = res.to_json()
+    shown = res.events if budget <= 32 else res.events[:16] + res.events[-16:]
+    assert out["events"] == [plain_event(e) for e in shown]
+    assert out["events_omitted"] == budget - len(shown)
+
+
+@pytest.mark.parametrize("lo, hi", ZENO_DOMAINS)
+def test_cli_zeno_solve_at_the_default_budget_prints_a_bounded_witness(
+        tmp_path, capsys, lo, hi):
+    path = tmp_path / "zeno.json"
+    path.write_text(json.dumps(zeno_doc(lo, hi)))
+    assert cli.main(["solve", str(path)]) == 4
+    stdout = capsys.readouterr().out
+    assert len(stdout.encode()) < 128 * 1024
+    out = json.loads(stdout)
+    assert out["events_consumed"] == solver.DEFAULT_EVENT_BUDGET == 4096
+    assert out["events_omitted"] == 4064 and len(out["events"]) == 32
+    assert out["accumulation"] == hi
+
+
+def chain_doc(size):
+    return {
+        "domain": {"kind": "chain", "size": size},
+        "players": [{"id": p, "actions": ["C", "D"]} for p in ("p1", "p2")],
+        "strategies": [{"kind": "constant", "player": "p1", "action": "C"},
+                       {"kind": "constant", "player": "p2", "action": "D"}],
+    }
+
+
+@pytest.mark.parametrize("doc, budget, code", [
+    (zeno_doc("-1", "2"), 20, 4),
+    (zeno_doc("1/2", "3"), 1024, 4),
+    (chain_doc(40), 4096, 0),
+])
+def test_cli_solve_trace_holds_every_event(tmp_path, capsys, doc, budget, code):
+    path, trace = tmp_path / "spec.json", tmp_path / "t.jsonl"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", str(path), "--budget", str(budget)]
+    assert cli.main(argv + ["--trace", str(trace)]) == code
+    stdout = capsys.readouterr().out
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == stdout  # --trace leaves stdout as it is
+    spec = parse_spec(doc)
+    res = cli._solve(spec, build_profile(spec), budget)
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == json.loads(stdout)["events_consumed"] == len(res.events)
+    assert [json.loads(line) for line in lines] == [plain_event(e) for e in res.events]
+
+
+@pytest.mark.parametrize("where", ["missing/t.jsonl", "."])
+def test_cli_solve_trace_to_an_unwritable_path_exits_2(tmp_path, capsys, where):
+    path = tmp_path / "zeno.json"
+    path.write_text(json.dumps(zeno_doc("0", "1")))
+    assert cli.main(["solve", str(path), "--budget", "8",
+                     "--trace", str(tmp_path / where)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1

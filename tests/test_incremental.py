@@ -2,31 +2,36 @@
 
 The oracles below are the definitions the engine used to evaluate
 literally: a prefix intersects every piece with the window, a lookup scans
-the pieces from the first, a chain payoff sums rho_hat**t per time.  The
-guards count calls, not time, so the quadratic rebuild cannot come back
-unnoticed.
+the pieces from the first, a chain payoff sums rho_hat**t per time.
+`bisect_index_after` is `index_after` before it took a cursor hint, and
+`canonical_pieces` (the sorting history builder) is the oracle of the
+walk's one-pass finish.  The guards count calls, not time, so the
+quadratic rebuild cannot come back unnoticed.
 """
 
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totime import solver
+from totime import histories, solver
 from totime import timeorder as to
-from totime.errors import MissingEntryError
+from totime.errors import CoverageGapError, CoverageOverlapError, MissingEntryError
 from totime.gamespec import build_profile, evaluate_payoff, parse_spec
 from totime.histories import (
     HistoryPrefix,
     PiecewiseHistory,
+    canonical_pieces,
     chain_actions,
     empty_prefix,
     index_after,
     piece_at,
     prefix,
+    walked_pieces,
 )
-from totime.strategies import Response, make_scripted
+from totime.strategies import Response, make_constant, make_scripted
 from totime.timeorder import DenseInterval, FiniteChain, Interval
 
 GRID = 16
@@ -149,6 +154,32 @@ def test_bisected_lookups_equal_linear_scan(h):
             assert piece_after(part, t) == linear_piece_after(part, t)
 
 
+def bisect_index_after(pieces, t):
+    for k in range(histories._scan_start(pieces, t), len(pieces)):
+        iv = pieces[k][0]
+        if (iv.contains(t) and iv.hi > t) or (iv.lo == t and not iv.lo_closed) or iv.lo > t:
+            return k
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_histories(), st.randoms(use_true_random=False))
+def test_hinted_index_after_equals_bisect(h, rnd):
+    times = query_points(h)
+    shuffled = list(times)
+    rnd.shuffle(shuffled)
+    for pp in h.per_player:
+        for pieces in (pp, pp[: len(pp) // 2]):  # a partial script leaves gaps
+            for walk in (times, shuffled):
+                hint = 0
+                for t in walk:
+                    want = bisect_index_after(pieces, t)
+                    assert index_after(pieces, t, hint) == want
+                    # a stale or out-of-range hint is checked, never trusted
+                    assert index_after(pieces, t, rnd.randrange(len(pieces) + 3)) == want
+                    hint = want if want is not None else hint
+
+
 @settings(max_examples=60, deadline=None)
 @given(dense_histories())
 def test_scripted_respond_equals_linear_scan(h):
@@ -238,3 +269,50 @@ def test_prefix_intersects_only_the_pieces_at_the_cut(monkeypatch):
         calls.clear()
         assert prefix(h, *case) == want[case]
         assert len(calls) <= 2 * len(h.players)
+
+
+# -- the walk's finish ---------------------------------------------------------
+
+
+def finish_outcome(fn):
+    try:
+        return fn()
+    except (CoverageGapError, CoverageOverlapError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(dense_histories(), chain_histories()), st.data())
+def test_walked_pieces_equal_canonical_pieces(h, data):
+    """On h's pieces, split at a seam (a caller's unmerged prefix), with a
+    piece dropped (a seeded gap) or with a piece repeated (an overlap)."""
+    cover = to.full_interval(h.domain)
+    for pp in h.per_player:
+        k = data.draw(st.integers(0, len(pp) - 1))
+        iv, a = pp[k]
+        if to.is_chain(h.domain) or iv.is_singleton:
+            split = pp
+        else:
+            mid = (iv.lo + iv.hi) / 2
+            split = pp[:k] + ((Interval(iv.lo, mid, iv.lo_closed, False), a),
+                              (Interval(mid, iv.hi, True, iv.hi_closed), a)) + pp[k + 1:]
+        assert walked_pieces(h.domain, pp) == walked_pieces(h.domain, split) == pp
+        for pieces in (pp[:k] + pp[k + 1:], pp[:k + 1] + pp[k:]):
+            assert finish_outcome(lambda: walked_pieces(h.domain, pieces)) \
+                == finish_outcome(lambda: canonical_pieces(h.domain, pieces, cover))
+
+
+@pytest.mark.parametrize("pieces, error", [
+    ([(Interval(0, Fraction(1, 4), True, False), "C")], CoverageGapError),
+    ([(Interval(0, Fraction(3, 4)), "D")], CoverageOverlapError),
+    ([(Interval(0, Fraction(1, 2), False, False), "C")], CoverageGapError),
+])
+def test_solve_from_a_prefix_that_does_not_tile_raises(pieces, error):
+    """A seeded gap, an overlap, or an open start below the cut 1/2."""
+    domain = DenseInterval(0, 1)
+    pfx = HistoryPrefix(domain, Fraction(1, 2), ("p1",), (tuple(pieces),))
+    try:
+        solver.solve_dense([make_constant("p1", "C", ("C", "D"), domain)], pfx)
+    except error:
+        return
+    raise AssertionError(f"no {error.__name__}")

@@ -729,14 +729,15 @@ def test_scripted_lookups_bisect_once_per_dense_run(monkeypatch, domain):
     pfx = empty_prefix(domain, players)
     res = solve_dense(profile, pfx)
     assert res.outcome == UNIQUE and res.events_consumed > 100
-    assert len(bisects) <= len(profile) + len(right_limits)
-    assert right_limits  # the scripts have instants
+    assert right_limits  # the scripts have instants, and their right limits
+    assert len(bisects) <= len(profile)  # use the cursor too
     assert verify_unique(profile, pfx, res)  # six reruns
-    assert len(bisects) <= 7 * len(profile) + len(right_limits)
+    assert len(bisects) <= 7 * len(profile)
     # the walk starts at h's first piece here, so its cursors on h never
     # bisect (from a later start they bisect once per player, at the start)
     # and only each script's lookups count
     bisects.clear()
     right_limits.clear()
     assert is_consistent(res.history, profile).consistent is True
-    assert len(bisects) <= len(profile) + len(right_limits)
+    assert right_limits
+    assert len(bisects) <= len(profile)
