@@ -27,6 +27,7 @@ from .histories import (
     HistoryPrefix,
     Piece,
     PiecewiseHistory,
+    _append_piece,
     chain_actions,
     history_to_json,
     index_at,
@@ -38,7 +39,6 @@ from .solver import (
     DEFAULT_EVENT_BUDGET,
     NO_TRACE,
     UNIQUE,
-    _append_piece,
     _chain_responses,
     _check_profile,
     _chain_step,
@@ -191,15 +191,12 @@ def _sampled_consistent(
 ) -> ConsistencyReport:
     rng = random.Random(seed)
     points = {p for p in h.change_times() if p >= t and target.contains(p)}
+    # every target piece lies in [t, top], so every sample lies in its piece
     for iv in target.pieces:
         lo = max(iv.lo, t)
-        if lo > iv.hi:
-            continue
         points.add(lo)
         for _ in range(max(1, samples // max(1, len(target.pieces)))):
-            s = lo + (iv.hi - lo) * _rand_fraction(rng)
-            if iv.contains(s) and s >= t:
-                points.add(s)
+            points.add(lo + (iv.hi - lo) * _rand_fraction(rng))
     checked = 0
     for s in sorted(points):
         if not target.contains(s):

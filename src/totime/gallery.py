@@ -28,33 +28,14 @@ from .axioms import (
 from .histories import PiecewiseHistory, empty_prefix, history_to_json
 from .solver import oracle_enumerate, solve_chain, solve_dense, verify_unique
 from .strategies import (
-    Strategy,
-    encode_chain_prefix,
+    _chain_strategy,
     make_gallery,
     make_grim_trigger,
     make_scripted,
 )
 from .timeorder import DenseInterval, FiniteChain, Interval
 
-GALLERY = ("no_trace", "multi", "discrete_contrast", "inertia_demo",
-           "friction_demo")
-
 UNIT = DenseInterval(0, 1)
-
-
-def _chain_rule_strategy(player: str, rule) -> Strategy:
-    """Single-player chain strategy from a rule over own past actions."""
-
-    def chain_respond(t: int, seq: tuple) -> str:
-        return rule([a[0] for a in seq])
-
-    def respond(t, p):
-        from .strategies import Response
-
-        return Response(chain_respond(t, encode_chain_prefix(p)), None)
-
-    return Strategy(player, respond, name="chain_rule",
-                    chain_respond=chain_respond)
 
 
 def _no_trace(seed: int) -> dict:
@@ -114,7 +95,8 @@ def _discrete_contrast(seed: int) -> dict:
          lambda past: "1" if any(a == "1" for a in past) else "0",
          ("0", "0", "0")),
     ):
-        strategy = _chain_rule_strategy("p1", rule)
+        strategy = _chain_strategy(
+            "p1", lambda t, seq: rule([a[0] for a in seq]), "chain_rule")
         pfx = empty_prefix(domain, ("p1",))
         solved = solve_chain([strategy], pfx)
         oracle = oracle_enumerate([strategy], pfx, alphabets)
@@ -191,16 +173,13 @@ def _friction_demo(seed: int) -> dict:
     }
 
 
+# name -> builder of the report bundle, in the order the CLI lists them
+GALLERY = {"no_trace": _no_trace, "multi": _multi, "discrete_contrast": _discrete_contrast,
+           "inertia_demo": _inertia_demo, "friction_demo": _friction_demo}
+
+
 def run_gallery(name: str, seed: int = 0) -> dict:
     """Build and run the named gallery instance; returns the report bundle."""
-    if name == "no_trace":
-        return _no_trace(seed)
-    if name == "multi":
-        return _multi(seed)
-    if name == "discrete_contrast":
-        return _discrete_contrast(seed)
-    if name == "inertia_demo":
-        return _inertia_demo(seed)
-    if name == "friction_demo":
-        return _friction_demo(seed)
-    raise UnknownNameError(f"unknown gallery instance {name!r}")
+    if name not in GALLERY:
+        raise UnknownNameError(f"unknown gallery instance {name!r}")
+    return GALLERY[name](seed)

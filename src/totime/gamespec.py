@@ -134,7 +134,17 @@ def _parse_strategy(obj, players, alphabets, domain, path: str) -> dict:
             _expect(isinstance(entries, dict) and entries, f"{path}.entries",
                     "entries must be a non-empty object")
             for k, v in entries.items():
-                parse_table_key(k, f"{path}.entries")
+                t, seq = parse_table_key(k, f"{path}.entries")
+                _expect(0 <= t < domain.size, f"{path}.entries",
+                        f"key {k!r} has a time outside the chain")
+                _expect(len(seq) == t, f"{path}.entries",
+                        f"key {k!r} needs one action tuple per time before {t}")
+                for combo in seq:
+                    _expect(len(combo) == len(players), f"{path}.entries",
+                            f"key {k!r} needs one action per player in each tuple")
+                    for p, a in zip(players, combo):
+                        _expect(a in alphabets[p], f"{path}.entries",
+                                f"key {k!r}: action {a!r} not in alphabet of {p!r}")
                 check_action(v, "entries")
             out["entries"] = dict(sorted(entries.items()))
         else:
@@ -311,8 +321,6 @@ def build_profile(spec: GameSpec, seed: Optional[int] = None) -> list[Strategy]:
             out.append(strat)
         elif kind == "halving":
             out.append(make_halving_hold(p, tuple(s["cycle"]), spec.domain))
-        else:  # pragma: no cover - parse_spec rejects unknown kinds
-            raise UnknownStrategyKindError("strategies", kind)
     return out
 
 

@@ -11,6 +11,10 @@ in time passes the last index as a hint and skips the bisect) and a
 prefix copies the pieces wholly below its cut, intersecting only the one
 or two pieces at the cut; chain solving and checking extend one
 append-only piece list per player by a step per time instead.
+
+Piece lists grow by one merging append, `_append_piece`, and are checked
+by one linear tiling check, `_tiled`, which `canonical_pieces` runs after
+its sort and `PiecewiseHistory.from_walk` on the pieces a walk leaves.
 """
 
 from __future__ import annotations
@@ -34,16 +38,50 @@ from .timeorder import Interval, TimeDomain, TimePoint
 Piece = tuple[Interval, str]
 
 
+def _append_piece(domain: TimeDomain, pieces: list, iv: Interval, action: str) -> None:
+    """Append (iv, action) to a list of pieces in time order, merging it
+    into the last piece when that has the same action and abuts iv."""
+    if pieces:
+        prev_iv, prev_action = pieces[-1]
+        if prev_action == action and to.abuts(domain, prev_iv, iv):
+            pieces[-1] = (Interval(prev_iv.lo, iv.hi, prev_iv.lo_closed, iv.hi_closed),
+                          action)
+            return
+    pieces.append((iv, action))
+
+
+def _tiled(domain: TimeDomain, pieces: Sequence[Piece], cover: Interval) -> tuple[Piece, ...]:
+    """Pieces already in time order, checked in one pass to tile `cover`
+    exactly, with equal-action neighbours merged.  Each consecutive pair
+    of the given pieces must abut, or CoverageGapError or
+    CoverageOverlapError names the two."""
+    if not pieces:
+        raise CoverageGapError("no pieces for a nonempty time set")
+    first = pieces[0][0]
+    if first.lo != cover.lo or first.lo_closed != cover.lo_closed:
+        raise CoverageGapError(f"coverage starts at {first.lo}, expected {cover.lo}")
+    merged: list[Piece] = [pieces[0]]
+    for (a, _), (b, action) in zip(pieces, pieces[1:]):
+        if not to.abuts(domain, a, b):
+            if to.intersect(a, b) is not None:
+                raise CoverageOverlapError(f"pieces {a} and {b} overlap")
+            raise CoverageGapError(f"gap between {a} and {b}")
+        _append_piece(domain, merged, b, action)
+    last = pieces[-1][0]
+    if last.hi != cover.hi or last.hi_closed != cover.hi_closed:
+        raise CoverageGapError(f"coverage ends at {last.hi}, expected {cover.hi}")
+    return tuple(merged)
+
+
 def canonical_pieces(
     domain: TimeDomain,
     pieces: Iterable[Piece],
-    cover: Optional[Interval],
+    cover: Interval,
 ) -> tuple[Piece, ...]:
     """Sort, validate exact coverage of `cover`, and merge equal-action runs.
 
     Raises CoverageGapError / CoverageOverlapError when the pieces do not
-    tile `cover` exactly.  `cover=None` means the empty set (only an empty
-    piece list is accepted).
+    tile `cover` exactly.
     """
     items: list[Piece] = []
     for iv, action in pieces:
@@ -51,63 +89,7 @@ def canonical_pieces(
         if norm is not None:
             items.append((norm, action))
     items.sort(key=lambda p: to._sort_key(p[0]))
-    if cover is None:
-        if items:
-            raise CoverageOverlapError("pieces supplied for an empty time set")
-        return ()
-    if not items:
-        raise CoverageGapError("no pieces for a nonempty time set")
-    first = items[0][0]
-    if first.lo != cover.lo or first.lo_closed != cover.lo_closed:
-        raise CoverageGapError(f"coverage starts at {first.lo}, expected {cover.lo}")
-    for (a, _), (b, _) in zip(items, items[1:]):
-        if to.abuts(domain, a, b):
-            continue
-        if to.intersect(a, b) is not None:
-            raise CoverageOverlapError(f"pieces {a} and {b} overlap")
-        raise CoverageGapError(f"gap between {a} and {b}")
-    last = items[-1][0]
-    if last.hi != cover.hi or last.hi_closed != cover.hi_closed:
-        raise CoverageGapError(f"coverage ends at {last.hi}, expected {cover.hi}")
-    merged: list[Piece] = [items[0]]
-    for iv, action in items[1:]:
-        prev_iv, prev_action = merged[-1]
-        if action == prev_action:
-            merged[-1] = (to._try_union(domain, prev_iv, iv), action)
-        else:
-            merged.append((iv, action))
-    return tuple(merged)
-
-
-def walked_pieces(domain: TimeDomain, pieces: Sequence[Piece]) -> tuple[Piece, ...]:
-    """canonical_pieces over the whole domain for pieces already in time
-    order, as the event walk leaves them, in one pass.
-
-    The pieces must start at min T, closed, abut pairwise and end at the
-    top, closed; a bad tiling raises CoverageGapError or
-    CoverageOverlapError as in canonical_pieces.  Equal-action neighbours,
-    which only a caller's unmerged prefix leaves, are merged.
-    """
-    if not pieces:
-        raise CoverageGapError("no pieces for a nonempty time set")
-    first = pieces[0][0]
-    if first.lo != domain.min or not first.lo_closed:
-        raise CoverageGapError(f"coverage starts at {first.lo}, expected {domain.min}")
-    merged: list[Piece] = [pieces[0]]
-    for b, action in pieces[1:]:
-        a, prev_action = merged[-1]
-        if not to.abuts(domain, a, b):
-            if to.intersect(a, b) is not None:
-                raise CoverageOverlapError(f"pieces {a} and {b} overlap")
-            raise CoverageGapError(f"gap between {a} and {b}")
-        if action == prev_action:
-            merged[-1] = (Interval(a.lo, b.hi, a.lo_closed, b.hi_closed), action)
-        else:
-            merged.append((b, action))
-    last = merged[-1][0]
-    if last.hi != domain.top or not last.hi_closed:
-        raise CoverageGapError(f"coverage ends at {last.hi}, expected {domain.top}")
-    return tuple(merged)
+    return _tiled(domain, items, cover)
 
 
 def _scan_start(pieces: Sequence[Piece], t: TimePoint) -> int:
@@ -228,10 +210,12 @@ class PiecewiseHistory:
         players: Sequence[str],
         per_player: Sequence[Sequence[Piece]],
     ) -> "PiecewiseHistory":
-        """The history of per-player pieces already in time order, checked
-        by walked_pieces in one pass instead of build's sort."""
+        """The history of per-player pieces already in time order, as the
+        chain and dense walks leave them, checked in one pass without
+        build's normalise and sort."""
+        cover = to.full_interval(domain)
         return PiecewiseHistory(domain, tuple(players),
-                                tuple(walked_pieces(domain, pp) for pp in per_player))
+                                tuple(_tiled(domain, pp, cover) for pp in per_player))
 
     def pieces_for(self, player: str) -> tuple[Piece, ...]:
         return self.per_player[self.players.index(player)]
@@ -282,9 +266,6 @@ class HistoryPrefix:
         if w is None or not w.contains(t):
             raise PointNotInDomainError(f"time {t} is not below the cut {self.cut}")
         return tuple(eval_pieces(pp, t) for pp in self.per_player)
-
-    def eval_player(self, player: str, t: TimePoint) -> str:
-        return self.eval(t)[self.players.index(player)]
 
 
 def empty_prefix(domain: TimeDomain, players: Sequence[str]) -> HistoryPrefix:

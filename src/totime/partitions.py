@@ -87,12 +87,6 @@ class RuleFamily:
             return Interval(Fraction(1, n + 1), Fraction(1, n), False, True)
         return Interval(1 - Fraction(1, n), 1 - Fraction(1, n + 1), True, False)
 
-    def anchor(self) -> Interval:
-        """The single limit block ({0} or {1})."""
-        if self.kind == HARMONIC_DESCENDING:
-            return to.singleton(Fraction(0))
-        return to.singleton(Fraction(1))
-
 
 @dataclass(frozen=True)
 class WellOrderReport:

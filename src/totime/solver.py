@@ -11,10 +11,11 @@ inconsistent time, and builds every prefix afresh with seq_to_prefix.
 On dense domains one event walk, `_walk`, runs the solver, the
 consistency walk and the traceability probe of `axioms`: at each event
 time a caller's step reads every player's action and the next bound, the
-walk commits a constant stretch up to it, and an instant gets a singleton
-piece and a right-limit re-query.  The solver's step reads hold-witnesses;
-event times that keep accumulating below the horizon are reported as Zeno
-rather than silently truncated.
+walk commits a constant stretch up to it with `histories._append_piece`,
+and an instant gets a singleton piece and a right-limit re-query.  The
+solver's step reads hold-witnesses; event times that keep accumulating
+below the horizon are reported as Zeno rather than silently truncated.
+Both solvers finish through `PiecewiseHistory.from_walk`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .histories import (
     HistoryPrefix,
     Piece,
     PiecewiseHistory,
+    _append_piece,
     splice,
 )
 from .strategies import Strategy, encode_chain_prefix
@@ -183,18 +185,8 @@ def solve_chain(profile: Sequence[Strategy], pfx: HistoryPrefix) -> SolveResult:
         seq.append(actions)
         _chain_step(per, s, actions)
         events.append((s, "at", actions, tuple(None for _ in players)))
-    history = PiecewiseHistory.build(domain, players, dict(zip(players, per)))
+    history = PiecewiseHistory.from_walk(domain, players, per)
     return SolveResult(UNIQUE, history, events, events_consumed=len(events))
-
-
-def _append_piece(domain, pieces: list, iv: Interval, action: str):
-    if pieces:
-        prev_iv, prev_action = pieces[-1]
-        if prev_action == action and to.abuts(domain, prev_iv, iv):
-            pieces[-1] = (Interval(prev_iv.lo, iv.hi, prev_iv.lo_closed, iv.hi_closed),
-                          action)
-            return
-    pieces.append((iv, action))
 
 
 def _walk(pfx: HistoryPrefix, step, close):

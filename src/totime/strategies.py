@@ -66,13 +66,15 @@ def encode_chain_prefix(p: HistoryPrefix) -> tuple:
     return tuple(chain_actions(p.per_player, end))
 
 
-def _wrap_chain(strategy: Strategy, domain: FiniteChain):
-    """Derive respond from chain_respond for table-style strategies."""
+def _chain_strategy(player: str, chain_respond: Callable[[int, tuple], str],
+                    name: str) -> Strategy:
+    """A finite-chain strategy given by chain_respond; its respond encodes
+    the prefix as action tuples and asks chain_respond."""
 
     def respond(t: TimePoint, p: HistoryPrefix) -> Response:
-        return Response(strategy.chain_respond(t, encode_chain_prefix(p)), None)
+        return Response(chain_respond(t, encode_chain_prefix(p)), None)
 
-    return respond
+    return Strategy(player, respond, name=name, chain_respond=chain_respond)
 
 
 def make_constant(player: str, action: str, alphabet: Sequence[str],
@@ -193,9 +195,7 @@ def make_table(
             raise MissingEntryError(f"table of {player} missing entry for {key!r}")
         return tbl[key]
 
-    strategy = Strategy(player, None, name="table", chain_respond=chain_respond)
-    strategy.respond = _wrap_chain(strategy, domain)
-    return strategy
+    return _chain_strategy(player, chain_respond, "table")
 
 
 def _is_action_tuple(item) -> bool:
@@ -249,12 +249,7 @@ def make_random_table(
         digest = hashlib.sha256(payload).digest()
         return actions[int.from_bytes(digest[:8], "big") % len(actions)]
 
-    strategy = Strategy(
-        player, None, name=f"random_table(seed={seed})",
-        chain_respond=chain_respond,
-    )
-    strategy.respond = _wrap_chain(strategy, domain)
-    return strategy
+    return _chain_strategy(player, chain_respond, f"random_table(seed={seed})")
 
 
 def make_scripted(

@@ -303,6 +303,38 @@ def test_inertiality_bad_declared_witness_fails():
     assert rep.passed is False
 
 
+def test_inertiality_declared_witness_refuted_by_a_sampled_extension():
+    """The witness claims C on [0, 1], but the rule answers D as soon as
+    the opponent has played D anywhere, with no lag."""
+    two = PiecewiseHistory.build(UNIT, ("p1", "p2"), {
+        "p1": [(to.full_interval(UNIT), "C")], "p2": [(to.full_interval(UNIT), "C")]})
+
+    def respond(t, p):
+        return Response("D" if any(a == "D" for _, a in p.per_player[1]) else "C", UNIT.top)
+
+    eager = Strategy("p1", respond, inertial_witness=lambda t, p: (UNIT.top, "C"))
+    rep = check_inertiality(eager, Fraction(0), two,
+                            alphabets={"p1": ("C", "D"), "p2": ("C", "D")})
+    assert rep.passed is False and rep.method == "witness-based"
+    assert rep.witness["answered"] == "D" and rep.witness["expected"] == "C"
+    assert 0 < Fraction(rep.witness["counterexample_at"]) < 1
+
+
+def test_inertiality_undeclared_strategy_without_a_deviation_is_inconclusive():
+    steady = Strategy("p1", lambda t, p: Response("C"))
+    rep = check_inertiality(steady, Fraction(0), unit_history([(to.full_interval(UNIT), "C")]),
+                            alphabets={"p1": ("C", "D")})
+    assert rep.passed is None and rep.method == "sampled"
+    assert rep.witness == {"window_end": "1", "action": "C"}
+
+
+def test_inertiality_at_the_top_passes_with_no_time_after():
+    mu = make_gallery("multi", Fraction(1))
+    rep = check_inertiality(mu, UNIT.top, unit_history(ALL_ZERO))
+    assert rep.passed is True and rep.method == "exhaustive"
+    assert rep.details == "no time after t"
+
+
 # -- Axiom 5 --------------------------------------------------------------------
 
 

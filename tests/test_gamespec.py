@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from totime import cli
 from totime import timeorder as to
+from totime.axioms import check_inertiality
 from totime.errors import AlphabetMismatchError, BadParametersError, SchemaError
 from totime.gamespec import (
     build_profile,
@@ -352,6 +353,144 @@ def test_cli_check_axiom3_without_a_unique_solve_is_inconclusive(tmp_path, capsy
     (rep,) = axiom3_reports(tmp_path, capsys, doc, 2)
     assert (rep["passed"], rep["method"]) == (None, "witness-based")
     assert "'zeno'" in rep["details"]
+
+
+def run_cli(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def random_table_spec_dict(seed):
+    return {
+        "domain": {"kind": "chain", "size": 6},
+        "players": [{"id": "p1", "actions": ["a", "b"]},
+                    {"id": "p2", "actions": ["a", "b"]}],
+        "strategies": [{"kind": "table", "player": "p1"},
+                       {"kind": "table", "player": "p2", "seed": 1}],
+        "seed": seed,
+    }
+
+
+@pytest.mark.parametrize("command, make_spec", [
+    ("solve", random_table_spec_dict),
+    ("oracle", random_table_spec_dict),
+    ("check", lambda seed: dict(gallery_spec_dict("no_trace"), seed=seed)),
+])
+def test_cli_seed_flag_beats_environment_and_spec(tmp_path, capsys, monkeypatch,
+                                                  command, make_spec):
+    """--seed 3 over TOTIME_SEED=11 over the spec's 5 runs as a spec seed of 3,
+    and the three seeds give three different outputs."""
+    spec_path = write_json(tmp_path / "spec.json", make_spec(5))
+    monkeypatch.setenv("TOTIME_SEED", "11")
+    flagged = run_cli(capsys, [command, spec_path, "--seed", "3"])
+    from_env = run_cli(capsys, [command, spec_path])
+    monkeypatch.delenv("TOTIME_SEED")
+    from_spec = run_cli(capsys, [command, spec_path])
+    outs = {}
+    for seed in (3, 11, 5):
+        outs[seed] = run_cli(capsys, [command, write_json(tmp_path / "s.json", make_spec(seed))])
+    assert (flagged, from_env, from_spec) == (outs[3], outs[11], outs[5])
+    assert len({out for _, out, _ in outs.values()}) == 3
+
+
+def test_cli_check_fails_axiom_1_on_the_no_trace_rule(tmp_path, capsys):
+    spec_path = write_json(tmp_path / "no_trace.json", gallery_spec_dict("no_trace"))
+    assert cli.main(["check", spec_path, "--axioms", "1"]) == 1
+    (rep,) = json.loads(capsys.readouterr().out)["reports"]["1"]
+    assert rep["passed"] is False and rep["method"] == "sampled"
+    assert rep["witness"]["stuck_at"] == "0"
+
+
+def test_cli_check_axiom_4_takes_its_samples_flag(tmp_path, capsys):
+    """Axiom 4 on the multi rule is decided by sampling: the CLI's report is
+    the library's at the same sample count, seed and constant-0 history.
+    Two samples per window find no deviation; the default 32 refute it."""
+    spec_path = write_json(tmp_path / "multi.json", gallery_spec_dict("multi"))
+    spec = parse_spec(gallery_spec_dict("multi"))
+    h = PiecewiseHistory.build(spec.domain, spec.players,
+                               {"p1": [(to.full_interval(spec.domain), "0")]})
+    verdicts = []
+    for samples, code in ((2, 2), (32, 1)):
+        assert cli.main(["check", spec_path, "--axioms", "4",
+                         "--samples", str(samples)]) == code
+        (rep,) = json.loads(capsys.readouterr().out)["reports"]["4"]
+        want = check_inertiality(build_profile(spec)[0], Fraction(0), h,
+                                 spec.alphabets, samples=samples, seed=0)
+        assert rep == want.to_json() and rep["method"] == "sampled"
+        verdicts.append(rep["passed"])
+    assert verdicts == [None, False]
+
+
+def entries_spec_dict(entries):
+    return {
+        "domain": {"kind": "chain", "size": 3},
+        "players": [{"id": "p1", "actions": ["a", "b"]},
+                    {"id": "p2", "actions": ["a", "b"]}],
+        "strategies": [{"kind": "table", "player": "p1", "entries": entries},
+                       {"kind": "constant", "player": "p2", "action": "a"}],
+        "payoff": {"rho": "1", "table": {"a,a": "1", "a,b": "0", "b,a": "2", "b,b": "0"}},
+    }
+
+
+ENTRIES = {"0": "a", "1|a,a": "b", "2|a,a;b,a": "a", "1|b,a": "a"}
+
+
+def test_cli_table_entries_solve_oracle_check_payoff(tmp_path, capsys):
+    spec_path = write_json(tmp_path / "entries.json", entries_spec_dict(ENTRIES))
+    hist_path = str(tmp_path / "hist.json")
+    assert cli.main(["solve", spec_path, "--out", hist_path]) == 0
+    solved = json.loads(capsys.readouterr().out)
+    assert [e["actions"] for e in solved["events"]] == [["a", "a"], ["b", "a"], ["a", "a"]]
+    assert cli.main(["oracle", spec_path]) == 0
+    oracle = json.loads(capsys.readouterr().out)
+    assert oracle == {"count": 1, "histories": [solved["history"]]}
+    assert cli.main(["check", spec_path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert all(r["passed"] for rs in out["reports"].values() for r in rs)
+    assert cli.main(["payoff", spec_path, hist_path]) == 0
+    # 1 + 2/2 + 1/4, exact on a chain
+    assert json.loads(capsys.readouterr().out)["p1"] == {"lo": "9/4", "hi": "9/4"}
+
+
+def test_cli_table_entries_spec_round_trip(tmp_path, capsys):
+    doc = entries_spec_dict(ENTRIES)
+    spec = parse_spec(doc)
+    assert parse_spec(spec_to_json(spec)) == spec
+    assert spec.strategies[0]["entries"] == dict(sorted(ENTRIES.items()))
+    code, first, _ = run_cli(capsys, ["spec", write_json(tmp_path / "a.json", doc)])
+    echoed = write_json(tmp_path / "b.json", json.loads(first))
+    assert code == 0 and run_cli(capsys, ["spec", echoed]) == (0, first, "")
+
+
+def test_cli_table_missing_entry_exits_2(tmp_path, capsys):
+    entries = {k: v for k, v in ENTRIES.items() if k != "2|a,a;b,a"}
+    spec_path = write_json(tmp_path / "entries.json", entries_spec_dict(entries))
+    code, out, err = run_cli(capsys, ["solve", spec_path])
+    assert (code, out) == (2, "")
+    assert err == ("error: table of p1 missing entry for "
+                   "(2, (('a', 'a'), ('b', 'a')))\n")
+
+
+@pytest.mark.parametrize("key, needle", [
+    ("3|a,a;a,a;a,a", "has a time outside the chain"),
+    ("-1", "has a time outside the chain"),
+    ("2|a,a", "needs one action tuple per time before 2"),
+    ("1|", "needs one action tuple per time before 1"),
+    ("1|a", "needs one action per player in each tuple"),
+    ("1|Z,Z,Z", "needs one action per player in each tuple"),
+    ("1|Z,a", "action 'Z' not in alphabet of 'p1'"),
+    ("2|a,a;a,Z", "action 'Z' not in alphabet of 'p2'"),
+    ("x|a,a", "bad table key time"),
+])
+@pytest.mark.parametrize("command", ["spec", "solve", "oracle", "check"])
+def test_cli_bad_table_entry_key_exits_2(tmp_path, capsys, command, key, needle):
+    spec_path = write_json(tmp_path / "entries.json",
+                           entries_spec_dict({**ENTRIES, key: "a"}))
+    code, out, err = run_cli(capsys, [command, spec_path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: strategies[0].entries: ") and err.count("\n") == 1
+    assert repr(key) in err and needle in err
 
 
 def test_cli_meet(tmp_path, capsys):

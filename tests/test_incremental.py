@@ -4,8 +4,9 @@ The oracles below are the definitions the engine used to evaluate
 literally: a prefix intersects every piece with the window, a lookup scans
 the pieces from the first, a chain payoff sums rho_hat**t per time.
 `bisect_index_after` is `index_after` before it took a cursor hint, and
-`canonical_pieces` (the sorting history builder) is the oracle of the
-walk's one-pass finish.  The guards count calls, not time, so the
+`old_canonical_pieces` (the sorting history builder with its own check
+and merge loops) is the oracle of the one linear tiling check that
+`canonical_pieces` and the walks' finish share.  The guards count calls, not time, so the
 quadratic rebuild cannot come back unnoticed.
 """
 
@@ -29,7 +30,6 @@ from totime.histories import (
     index_after,
     piece_at,
     prefix,
-    walked_pieces,
 )
 from totime.strategies import Response, make_constant, make_scripted
 from totime.timeorder import DenseInterval, FiniteChain, Interval
@@ -274,6 +274,39 @@ def test_prefix_intersects_only_the_pieces_at_the_cut(monkeypatch):
 # -- the walk's finish ---------------------------------------------------------
 
 
+def old_canonical_pieces(domain, pieces, cover):
+    """canonical_pieces as it was with its own loops: normalise and sort,
+    check the start, every raw pair and the end, then merge."""
+    items = []
+    for iv, action in pieces:
+        norm = to.make_interval(domain, iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
+        if norm is not None:
+            items.append((norm, action))
+    items.sort(key=lambda p: to._sort_key(p[0]))
+    if not items:
+        raise CoverageGapError("no pieces for a nonempty time set")
+    first = items[0][0]
+    if first.lo != cover.lo or first.lo_closed != cover.lo_closed:
+        raise CoverageGapError(f"coverage starts at {first.lo}, expected {cover.lo}")
+    for (a, _), (b, _) in zip(items, items[1:]):
+        if to.abuts(domain, a, b):
+            continue
+        if to.intersect(a, b) is not None:
+            raise CoverageOverlapError(f"pieces {a} and {b} overlap")
+        raise CoverageGapError(f"gap between {a} and {b}")
+    last = items[-1][0]
+    if last.hi != cover.hi or last.hi_closed != cover.hi_closed:
+        raise CoverageGapError(f"coverage ends at {last.hi}, expected {cover.hi}")
+    merged = [items[0]]
+    for iv, action in items[1:]:
+        prev_iv, prev_action = merged[-1]
+        if action == prev_action:
+            merged[-1] = (to._try_union(domain, prev_iv, iv), action)
+        else:
+            merged.append((iv, action))
+    return tuple(merged)
+
+
 def finish_outcome(fn):
     try:
         return fn()
@@ -284,8 +317,11 @@ def finish_outcome(fn):
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(dense_histories(), chain_histories()), st.data())
 def test_walked_pieces_equal_canonical_pieces(h, data):
-    """On h's pieces, split at a seam (a caller's unmerged prefix), with a
-    piece dropped (a seeded gap) or with a piece repeated (an overlap)."""
+    """The one tiling check, on pieces in time order (as a walk leaves
+    them) and through canonical_pieces, against the old two-loop builder:
+    on h's pieces split at a seam (a caller's unmerged prefix), and on
+    those with a piece dropped (a seeded gap), repeated (an overlap) or
+    moved (unsorted).  Values, error types and messages must agree."""
     cover = to.full_interval(h.domain)
     for pp in h.per_player:
         k = data.draw(st.integers(0, len(pp) - 1))
@@ -296,10 +332,18 @@ def test_walked_pieces_equal_canonical_pieces(h, data):
             mid = (iv.lo + iv.hi) / 2
             split = pp[:k] + ((Interval(iv.lo, mid, iv.lo_closed, False), a),
                               (Interval(mid, iv.hi, True, iv.hi_closed), a)) + pp[k + 1:]
-        assert walked_pieces(h.domain, pp) == walked_pieces(h.domain, split) == pp
-        for pieces in (pp[:k] + pp[k + 1:], pp[:k + 1] + pp[k:]):
-            assert finish_outcome(lambda: walked_pieces(h.domain, pieces)) \
-                == finish_outcome(lambda: canonical_pieces(h.domain, pieces, cover))
+        got = PiecewiseHistory.from_walk(h.domain, ("p",), [split]).per_player[0]
+        assert got == canonical_pieces(h.domain, split, cover) \
+            == old_canonical_pieces(h.domain, split, cover) == pp
+        j = data.draw(st.integers(0, len(split) - 1))
+        for pieces in (split[:j] + split[j + 1:], split[:j + 1] + split[j:]):
+            want = finish_outcome(lambda: old_canonical_pieces(h.domain, pieces, cover))
+            assert finish_outcome(lambda: histories._tiled(h.domain, pieces, cover)) == want
+            assert finish_outcome(lambda: canonical_pieces(h.domain, pieces, cover)) == want
+        unsorted = list(split)
+        unsorted.insert(data.draw(st.integers(0, len(split) - 1)), unsorted.pop(j))
+        assert finish_outcome(lambda: canonical_pieces(h.domain, unsorted, cover)) \
+            == finish_outcome(lambda: old_canonical_pieces(h.domain, unsorted, cover))
 
 
 @pytest.mark.parametrize("pieces, error", [

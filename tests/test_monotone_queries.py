@@ -41,6 +41,7 @@ from totime.gamespec import build_profile, parse_spec
 from totime.histories import (
     HistoryPrefix,
     PiecewiseHistory,
+    _append_piece,
     empty_prefix,
     history_to_json,
     index_after,
@@ -53,7 +54,6 @@ from totime.solver import (
     UNIQUE,
     ZENO,
     SolveResult,
-    _append_piece,
     solve_chain,
     solve_dense,
     verify_unique,

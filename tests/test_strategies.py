@@ -12,8 +12,14 @@ from totime.errors import (
     MissingEntryError,
     UnknownNameError,
 )
-from totime.histories import HistoryPrefix, PiecewiseHistory, empty_prefix, prefix
-from totime.solver import _append_piece, seq_to_prefix
+from totime.histories import (
+    HistoryPrefix,
+    PiecewiseHistory,
+    _append_piece,
+    empty_prefix,
+    prefix,
+)
+from totime.solver import seq_to_prefix
 from totime.strategies import (
     encode_chain_prefix,
     make_constant,
