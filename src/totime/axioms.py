@@ -47,7 +47,7 @@ from .solver import (
     solve_dense,
 )
 from .strategies import Strategy, make_scripted
-from .timeorder import Interval, IntervalSet, TimeDomain, TimePoint
+from .timeorder import Interval, IntervalSet, TimePoint
 
 EXHAUSTIVE = "exhaustive"
 WITNESS_BASED = "witness-based"

@@ -15,17 +15,16 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .errors import BadParametersError, SchemaError, TotimeError
 from . import timeorder as to
 from .axioms import (
+    EXHAUSTIVE,
     SAMPLED,
     WITNESS_BASED,
     AxiomReport,
     check_frictionality,
     check_inertiality,
-    check_initial_uniqueness,
     check_traceability,
     check_well_orderedness,
 )
@@ -54,7 +53,7 @@ def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except (ValueError, RecursionError) as e:  # ValueError: also bad UTF-8, huge ints
             raise SchemaError("$", f"{path} is not valid JSON: {e}")
 
 
@@ -121,14 +120,14 @@ def _reference_history(spec, profile, budget):
     ), outcome
 
 
-def _initial_uniqueness(player: str, t0, h: PiecewiseHistory, outcome) -> AxiomReport:
-    """Axiom 3 on the reference history.  Only a unique solve makes h the
-    one consistent history, so only then does comparing h with itself
-    decide the axiom; otherwise there is no pair to compare."""
+def _initial_uniqueness(outcome) -> AxiomReport:
+    """Axiom 3 on the reference history h.  Only a unique solve makes h the
+    one consistent history, so only then is the axiom decided: comparing h
+    with itself, which cannot fail and so is not run.  Otherwise there is
+    no pair to compare."""
     if outcome == "unique":
-        report = check_initial_uniqueness(player, t0, h, h)
-        report.details = "the solve is unique, so h is compared with itself"
-        return report
+        return AxiomReport(3, True, EXHAUSTIVE,
+                           details="the solve is unique, so h is compared with itself")
     if outcome is None:
         return AxiomReport(3, None, SAMPLED,
                            details="black-box profile: no second consistent "
@@ -170,7 +169,7 @@ def cmd_check(args) -> int:
             elif a == 2:
                 rs.append(check_well_orderedness(p, t0, [h]))
             elif a == 3:
-                rs.append(_initial_uniqueness(p, t0, h, outcome))
+                rs.append(_initial_uniqueness(outcome))
             elif a == 4:
                 rs.append(check_inertiality(strategy, t0, h, spec.alphabets,
                                             samples=args.samples, seed=seed))
@@ -236,10 +235,10 @@ def cmd_payoff(args) -> int:
     spec = parse_spec(_load_json(args.spec))
     h = history_from_json(spec.domain, spec.players, _load_json(args.hist))
     try:
-        tol = Fraction(args.tol)
-    except (ValueError, ZeroDivisionError):
+        tol = to.parse_rational(args.tol, "--tol")
+    except SchemaError:
         raise BadParametersError(f"--tol must be an exact rational such as 1e-9 "
-                                 f"or 1/1000, got {args.tol!r}")
+                                 f"or 1/1000, got {args.tol!r}") from None
     vec = evaluate_payoff(h, spec, tol=tol)
     _emit(vec.to_json())
     return 0

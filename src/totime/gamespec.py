@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .errors import (
     AlphabetMismatchError,
@@ -45,6 +45,8 @@ STRATEGY_KINDS = ("constant", "grim", "table", "gallery", "halving")
 # "t|a,b;c,d" table-strategy keys and "a,b" payoff-table keys split on these
 KEY_SEPARATORS = ",;|"
 
+Maker = Callable[[int], Strategy]  # seed -> a player's strategy
+
 
 @dataclass(frozen=True)
 class GameSpec:
@@ -55,18 +57,13 @@ class GameSpec:
     payoff_table: Optional[Mapping[tuple[str, ...], Mapping[str, Fraction]]]
     rho: Fraction
     seed: int
+    # one per player, in player order, closed over the parsed strategy specs
+    makers: tuple[Maker, ...] = field(compare=False, repr=False)
 
 
 def _expect(cond: bool, path: str, message: str):
     if not cond:
         raise SchemaError(path, message)
-
-
-def _rational(value, path: str) -> Fraction:
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise SchemaError(path, f"not an exact rational: {value!r}")
 
 
 def _parse_domain(obj, path: str) -> TimeDomain:
@@ -78,24 +75,16 @@ def _parse_domain(obj, path: str) -> TimeDomain:
                 "chain size must be a positive integer")
         return FiniteChain(size)
     if kind == "dense":
-        lo = _rational(obj.get("lo"), f"{path}.lo")
-        hi = _rational(obj.get("hi"), f"{path}.hi")
+        lo = to.parse_rational(obj.get("lo"), f"{path}.lo")
+        hi = to.parse_rational(obj.get("hi"), f"{path}.hi")
         _expect(lo < hi, path, "dense domain needs lo < hi")
         return DenseInterval(lo, hi)
     raise SchemaError(f"{path}.kind", f"unknown domain kind {kind!r}")
 
 
-def parse_table_key(key: str, path: str) -> tuple[int, tuple]:
-    head, _, tail = key.partition("|")
-    try:
-        t = int(head)
-    except ValueError:
-        raise SchemaError(path, f"bad table key time in {key!r}")
-    seq = tuple(tuple(part.split(",")) for part in tail.split(";")) if tail else ()
-    return t, seq
-
-
-def _parse_strategy(obj, players, alphabets, domain, path: str) -> dict:
+def _parse_strategy(obj, players, alphabets, domain, path: str) -> tuple[dict, Maker]:
+    """Read one strategy spec, checking each field once: its canonical dict,
+    which spec_to_json prints, and a maker closed over the values read."""
     _expect(isinstance(obj, dict), path, "strategy spec must be an object")
     kind = obj.get("kind")
     if kind not in STRATEGY_KINDS:
@@ -104,67 +93,75 @@ def _parse_strategy(obj, players, alphabets, domain, path: str) -> dict:
     _expect(player in players, f"{path}.player", f"unknown player {player!r}")
     alpha = alphabets[player]
 
-    def check_action(a, field):
+    def check_action(a, at):
         if a not in alpha:
             raise AlphabetMismatchError(
-                f"{path}.{field}", f"action {a!r} not in alphabet of {player!r}"
+                f"{path}.{at}", f"action {a!r} not in alphabet of {player!r}"
             )
+        return a
 
     out = {"kind": kind, "player": player}
     if kind == "constant":
-        check_action(obj.get("action"), "action")
-        out["action"] = obj["action"]
-    elif kind == "grim":
-        for field in ("cooperate", "punish"):
-            check_action(obj.get(field), field)
-        delta = _rational(obj.get("delta"), f"{path}.delta")
+        action = out["action"] = check_action(obj.get("action"), "action")
+        return out, lambda seed: make_constant(player, action, alpha, domain)
+    if kind == "grim":
+        cooperate = out["cooperate"] = check_action(obj.get("cooperate"), "cooperate")
+        punish = out["punish"] = check_action(obj.get("punish"), "punish")
+        _expect(cooperate != punish, f"{path}.punish", "cooperate and punish must differ")
+        delta = to.parse_rational(obj.get("delta"), f"{path}.delta", integer=to.is_chain(domain))
         _expect(delta > 0, f"{path}.delta", "delta must be positive")
-        out["cooperate"] = obj["cooperate"]
-        out["punish"] = obj["punish"]
         out["delta"] = str(delta)
+        trig = obj.get("trigger_actions")
         if "trigger_actions" in obj:
-            trig = obj["trigger_actions"]
-            _expect(isinstance(trig, list) and trig, f"{path}.trigger_actions",
-                    "trigger_actions must be a non-empty list")
-            out["trigger_actions"] = sorted(trig)
-    elif kind == "table":
+            others = {a for p in players if p != player for a in alphabets[p]}
+            _expect(isinstance(trig, list) and trig
+                    and all(isinstance(a, str) and a in others for a in trig),
+                    f"{path}.trigger_actions",
+                    "trigger_actions must be a non-empty list of other players' actions")
+            trig = out["trigger_actions"] = sorted(trig)
+        return out, lambda seed: make_grim_trigger(player, cooperate, punish, delta, alpha,
+                                                   domain, trigger_actions=trig)
+    if kind == "table":
         _expect(to.is_chain(domain), path, "table strategies need a chain domain")
         if "entries" in obj:
-            entries = obj["entries"]
-            _expect(isinstance(entries, dict) and entries, f"{path}.entries",
+            entries, where, table = obj["entries"], f"{path}.entries", {}
+            _expect(isinstance(entries, dict) and entries, where,
                     "entries must be a non-empty object")
             for k, v in entries.items():
-                t, seq = parse_table_key(k, f"{path}.entries")
-                _expect(0 <= t < domain.size, f"{path}.entries",
-                        f"key {k!r} has a time outside the chain")
-                _expect(len(seq) == t, f"{path}.entries",
+                head, _, tail = k.partition("|")
+                try:
+                    t = int(head)
+                except ValueError:
+                    raise SchemaError(where, f"bad table key time in {k!r}") from None
+                seq = tuple(tuple(part.split(",")) for part in tail.split(";")) if tail else ()
+                _expect(0 <= t < domain.size, where, f"key {k!r} has a time outside the chain")
+                _expect(len(seq) == t, where,
                         f"key {k!r} needs one action tuple per time before {t}")
                 for combo in seq:
-                    _expect(len(combo) == len(players), f"{path}.entries",
+                    _expect(len(combo) == len(players), where,
                             f"key {k!r} needs one action per player in each tuple")
                     for p, a in zip(players, combo):
-                        _expect(a in alphabets[p], f"{path}.entries",
+                        _expect(a in alphabets[p], where,
                                 f"key {k!r}: action {a!r} not in alphabet of {p!r}")
-                check_action(v, "entries")
+                _expect((t, seq) not in table, where,
+                        f"key {k!r} repeats the time and prefix of an earlier key")
+                table[t, seq] = check_action(v, "entries")
             out["entries"] = dict(sorted(entries.items()))
-        else:
-            seed = obj.get("seed", 0)
-            _expect(isinstance(seed, int), f"{path}.seed",
-                    "table seed must be an integer")
-            out["seed"] = seed
-    elif kind == "gallery":
-        name = obj.get("name")
-        _expect(name in GALLERY_NAMES, f"{path}.name",
-                f"unknown gallery strategy {name!r}")
-        out["name"] = name
-    elif kind == "halving":
-        cycle = obj.get("cycle")
-        _expect(isinstance(cycle, list) and cycle, f"{path}.cycle",
-                "cycle must be a non-empty list of actions")
-        for a in cycle:
-            check_action(a, "cycle")
-        out["cycle"] = list(cycle)
-    return out
+            return out, lambda seed: make_table(player, domain, table)
+        own = out["seed"] = obj.get("seed", 0)
+        _expect(isinstance(own, int), f"{path}.seed", "table seed must be an integer")
+        return out, lambda seed: make_random_table(player, domain, alpha, seed + own)
+    if kind == "gallery":
+        name = out["name"] = obj.get("name")
+        _expect(name in GALLERY_NAMES, f"{path}.name", f"unknown gallery strategy {name!r}")
+        _expect(domain.top > 0, path, "gallery strategies need a domain whose top is positive")
+        return out, lambda seed: replace(make_gallery(name, domain.top), player=player)
+    cycle = obj.get("cycle")
+    _expect(isinstance(cycle, list) and cycle, f"{path}.cycle",
+            "cycle must be a non-empty list of actions")
+    out["cycle"] = [check_action(a, "cycle") for a in cycle]
+    cycle = tuple(cycle)
+    return out, lambda seed: make_halving_hold(player, cycle, domain)
 
 
 def parse_spec(text: Union[str, bytes, Mapping]) -> GameSpec:
@@ -172,7 +169,7 @@ def parse_spec(text: Union[str, bytes, Mapping]) -> GameSpec:
     if isinstance(text, (str, bytes)):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # ValueError: also ints past 4,300 digits
             raise SchemaError("$", f"invalid JSON: {e}")
     else:
         obj = text
@@ -211,12 +208,12 @@ def parse_spec(text: Union[str, bytes, Mapping]) -> GameSpec:
     _expect(len(raw_strats) == len(players), "strategies",
             "need exactly one strategy per player")
     strategies = []
-    seen = set()
+    makers = {}
     for i, s in enumerate(raw_strats):
-        parsed = _parse_strategy(s, players, alphabets, domain, f"strategies[{i}]")
-        _expect(parsed["player"] not in seen, f"strategies[{i}].player",
+        parsed, make = _parse_strategy(s, players, alphabets, domain, f"strategies[{i}]")
+        _expect(parsed["player"] not in makers, f"strategies[{i}].player",
                 f"duplicate strategy for {parsed['player']!r}")
-        seen.add(parsed["player"])
+        makers[parsed["player"]] = make
         strategies.append(parsed)
 
     payoff_table = None
@@ -224,7 +221,7 @@ def parse_spec(text: Union[str, bytes, Mapping]) -> GameSpec:
     if "payoff" in obj and obj["payoff"] is not None:
         pay = obj["payoff"]
         _expect(isinstance(pay, dict), "payoff", "payoff must be an object")
-        rho = _rational(pay.get("rho", "0"), "payoff.rho")
+        rho = to.parse_rational(pay.get("rho", "0"), "payoff.rho")
         _expect(rho >= 0, "payoff.rho", "rho must be non-negative")
         table = pay.get("table")
         _expect(isinstance(table, dict) and table, "payoff.table",
@@ -241,11 +238,11 @@ def parse_spec(text: Union[str, bytes, Mapping]) -> GameSpec:
                 _expect(set(val) == set(players), f"payoff.table[{key!r}]",
                         "per-player values must cover every player")
                 payoff_table[combo] = {
-                    p: _rational(v, f"payoff.table[{key!r}].{p}")
+                    p: to.parse_rational(v, f"payoff.table[{key!r}].{p}")
                     for p, v in val.items()
                 }
             else:
-                u = _rational(val, f"payoff.table[{key!r}]")
+                u = to.parse_rational(val, f"payoff.table[{key!r}]")
                 payoff_table[combo] = {p: u for p in players}
         missing = required - set(payoff_table)
         if missing:
@@ -260,7 +257,7 @@ def parse_spec(text: Union[str, bytes, Mapping]) -> GameSpec:
             "seed must be a natural number")
 
     return GameSpec(domain, tuple(players), alphabets, tuple(strategies),
-                    payoff_table, rho, seed)
+                    payoff_table, rho, seed, tuple(makers[p] for p in players))
 
 
 def spec_to_json(spec: GameSpec) -> dict:
@@ -292,36 +289,7 @@ def build_profile(spec: GameSpec, seed: Optional[int] = None) -> list[Strategy]:
     """Instantiate the strategy profile, in player order."""
     if seed is None:
         seed = spec.seed
-    by_player = {s["player"]: s for s in spec.strategies}
-    out = []
-    for p in spec.players:
-        s = by_player[p]
-        alpha = spec.alphabets[p]
-        kind = s["kind"]
-        if kind == "constant":
-            out.append(make_constant(p, s["action"], alpha, spec.domain))
-        elif kind == "grim":
-            out.append(make_grim_trigger(
-                p, s["cooperate"], s["punish"],
-                int(s["delta"]) if to.is_chain(spec.domain) else to.parse_point(s["delta"]),
-                alpha, spec.domain,
-                trigger_actions=s.get("trigger_actions"),
-            ))
-        elif kind == "table":
-            if "entries" in s:
-                table = {parse_table_key(k, "entries"): v
-                         for k, v in s["entries"].items()}
-                out.append(make_table(p, spec.domain, table))
-            else:
-                out.append(make_random_table(p, spec.domain, alpha,
-                                             seed + s.get("seed", 0)))
-        elif kind == "gallery":
-            strat = make_gallery(s["name"], spec.domain.top)
-            strat.player = p
-            out.append(strat)
-        elif kind == "halving":
-            out.append(make_halving_hold(p, tuple(s["cycle"]), spec.domain))
-    return out
+    return [make(seed) for make in spec.makers]
 
 
 # -- certified exponentials ----------------------------------------------------
@@ -407,7 +375,7 @@ class PayoffVector:
 
     def to_json(self) -> dict:
         return {
-            p: {"lo": str(self.lo[p]), "hi": str(self.hi[p])}
+            p: {"lo": to.format_point(self.lo[p]), "hi": to.format_point(self.hi[p])}
             for p in self.players
         }
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import io
 import csv
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (

@@ -12,7 +12,7 @@ gallery) supply no witness and can only be sampled.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -223,6 +223,8 @@ def make_random_table(
     repr to the previous rendering instead of rendering the whole prefix;
     the digest still reads all of it.
     """
+    if not to.is_chain(domain):
+        raise BadParametersError("table strategies require a finite chain")
     if not alphabet:
         raise BadParametersError("empty alphabet")
     actions = tuple(alphabet)

@@ -11,8 +11,11 @@ enters any comparison, infimum, or supremum.
 ``Point``, ``Fraction`` and ``int`` operands instead of the generic
 ``numbers.Rational`` dispatch; the solver and the axiom walks mostly
 compare points.  Every dense point is made a ``Point`` where it enters
-the engine (``parse_point``, ``DenseInterval``, ``make_interval`` and the
-strategy constructors), so callers may still pass ``int`` or ``Fraction``.
+the engine (``point_from_json``, ``DenseInterval``, ``make_interval`` and
+the strategy constructors), so callers may still pass ``int`` or ``Fraction``.
+
+``parse_rational`` is the one reader of exact rational literals in spec,
+history and partition documents and on the command line.
 
 Dense points are often dyadic, and the hashes of dyadic rationals collide
 (``hash((2**k - 1) / 2**k)`` repeats with period 61 in k), so hot paths
@@ -25,7 +28,9 @@ of such points are also far dearer than equality tests, which is why
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Union
@@ -187,13 +192,58 @@ def as_point(t) -> Point:
 
 
 def format_point(t: TimePoint) -> str:
-    """Render a time point as an exact decimal-free string ("3", "1/2")."""
-    return str(t)
+    """Render a time point, or any exact rational, as an exact decimal-free
+    string ("3", "1/2").
+
+    Exact at any size: str() of an int past Python's 4,300-digit
+    conversion limit raises, so such a point is rendered through Decimal,
+    which is exact for integers and has no such limit.
+    """
+    try:
+        return str(t)
+    except ValueError:
+        n, d = Decimal(t.numerator), Decimal(t.denominator)
+        return str(n) if d == 1 else f"{n}/{d}"
 
 
-def parse_point(text: str) -> Point:
-    """Parse an exact rational string such as "1/2", "3", or "0.25"."""
-    return Point(str(text))
+# The most digits plus exponent a rational literal may have: Python's default
+# limit on int <-> str conversion, so every value read prints back and no
+# huge power of ten is ever built.
+MAX_DIGITS = 4300
+
+_RATIONAL = re.compile(r"\s*([-+]?)(?=[0-9]|\.[0-9])([0-9]*)"
+                       r"(?:/(0*[1-9][0-9]*)|(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?)\s*")
+
+
+def parse_rational(value, path: str, integer: bool = False) -> TimePoint:
+    """The exact rational a JSON value spells, as a Point: a string such as
+    "1/2", "-3", "0.25" or "1e-9", or a JSON number; with integer=True,
+    the int an integral one spells.
+
+    Anything else raises SchemaError naming `path`, the value's place in
+    the document: so does a zero denominator, and a literal whose digits
+    plus exponent pass MAX_DIGITS, which is refused before any integer is
+    built (it bounds the digits of the numerator and the denominator).
+    """
+    text = str(value)
+    kind = "an integer" if integer else "an exact rational"
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise SchemaError(path, f"{value!r} is not {kind}")
+    sign, num, den, dec, exp = m.groups("")
+    shift = -len(dec)
+    if exp:  # int() counts leading zeros; six exponent digits already pass MAX_DIGITS
+        shift += int(exp.lstrip("+-").lstrip("0")[:6] or 0) * (-1 if exp[0] == "-" else 1)
+    if len(num) + len(den) + len(dec) + abs(shift) > MAX_DIGITS:
+        raise SchemaError(path, f"{text[:40]!r} has more than {MAX_DIGITS} digits "
+                                f"counting the exponent")
+    n, d = int(sign + num + dec) * 10**max(shift, 0), int(den or 1) * 10**max(-shift, 0)
+    g = gcd(n, d)
+    if not integer:
+        return _point(n // g, d // g)
+    if d != g:
+        raise SchemaError(path, f"{value!r} is not {kind}")
+    return n // g
 
 
 @dataclass(frozen=True)
@@ -311,11 +361,7 @@ def point_from_json(obj: dict, key: str, domain: TimeDomain, path: str) -> TimeP
     SchemaError naming `path`, the key's place in the document."""
     if key not in obj:
         raise SchemaError(path, "missing")
-    try:
-        return int(str(obj[key])) if is_chain(domain) else parse_point(obj[key])
-    except (ValueError, ZeroDivisionError):
-        kind = "an integer" if is_chain(domain) else "an exact rational"
-        raise SchemaError(path, f"{obj[key]!r} is not {kind}") from None
+    return parse_rational(obj[key], path, integer=is_chain(domain))
 
 
 def interval_from_json(obj: dict, domain: TimeDomain, path: str = "$") -> Interval:

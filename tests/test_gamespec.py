@@ -482,6 +482,8 @@ def test_cli_table_missing_entry_exits_2(tmp_path, capsys):
     ("1|Z,a", "action 'Z' not in alphabet of 'p1'"),
     ("2|a,a;a,Z", "action 'Z' not in alphabet of 'p2'"),
     ("x|a,a", "bad table key time"),
+    ("00", "repeats the time and prefix of an earlier key"),
+    ("+1|a,a", "repeats the time and prefix of an earlier key"),
 ])
 @pytest.mark.parametrize("command", ["spec", "solve", "oracle", "check"])
 def test_cli_bad_table_entry_key_exits_2(tmp_path, capsys, command, key, needle):
@@ -491,6 +493,71 @@ def test_cli_bad_table_entry_key_exits_2(tmp_path, capsys, command, key, needle)
     assert (code, out) == (2, "")
     assert err.startswith("error: strategies[0].entries: ") and err.count("\n") == 1
     assert repr(key) in err and needle in err
+
+
+def chain_grim_spec_dict():
+    doc = grim_spec_dict()
+    doc["domain"] = {"kind": "chain", "size": 4}
+    doc["strategies"][0]["delta"] = "2"
+    doc["strategies"][1]["delta"] = "1"
+    return doc
+
+
+def _edit(doc, path, value):
+    *keys, last = path
+    for k in keys:
+        doc = doc[k]
+    doc[last] = value
+
+
+BIG_INT = "9" * 5000
+
+
+@pytest.mark.parametrize("make, path, value, where", [
+    pytest.param(chain_grim_spec_dict, ("strategies", 0, "delta"), "1/2",
+                 "strategies[0].delta", id="chain-delta-1/2"),
+    pytest.param(chain_grim_spec_dict, ("strategies", 0, "delta"), "0",
+                 "strategies[0].delta", id="chain-delta-0"),
+    pytest.param(grim_spec_dict, ("strategies", 0, "punish"), "C",
+                 "strategies[0].punish", id="cooperate-is-punish"),
+    pytest.param(grim_spec_dict, ("strategies", 0, "trigger_actions"), [1, "C"],
+                 "strategies[0].trigger_actions", id="trigger-int"),
+    pytest.param(grim_spec_dict, ("strategies", 0, "trigger_actions"), [["C"]],
+                 "strategies[0].trigger_actions", id="trigger-list"),
+    pytest.param(grim_spec_dict, ("strategies", 0, "trigger_actions"), ["X"],
+                 "strategies[0].trigger_actions", id="trigger-unknown"),
+    pytest.param(grim_spec_dict, ("domain", "hi"), "1e5000", "domain.hi", id="hi-1e5000"),
+    pytest.param(grim_spec_dict, ("domain", "hi"), "1e999999999", "domain.hi",
+                 id="hi-1e999999999"),
+    pytest.param(grim_spec_dict, ("payoff", "rho"), "1e-5000", "payoff.rho",
+                 id="rho-1e-5000"),
+    pytest.param(grim_spec_dict, ("seed",), BIG_INT, "$", id="seed-5000-digits"),
+    pytest.param(grim_spec_dict, ("domain", "lo"), "[" * 100000, "$", id="nested-arrays"),
+])
+@pytest.mark.parametrize("command", ["spec", "solve", "check"])
+def test_cli_spec_value_read_once_exits_2(tmp_path, capsys, within, make, path, value,
+                                          where, command):
+    doc = make()
+    _edit(doc, path, value)
+    # BIG_INT and the nested arrays go in raw, as JSON that json.loads
+    # refuses: an integer past 4,300 digits, arrays past the recursion limit
+    text = json.dumps(doc).replace(f'"{BIG_INT}"', BIG_INT).replace(
+        '"' + "[" * 100000 + '"', "[" * 100000)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
+    code, out, err = within(1, run_cli, capsys, [command, str(spec_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+
+
+def test_gallery_strategy_needs_a_positive_top():
+    doc = {"domain": {"kind": "chain", "size": 1},
+           "players": [{"id": "p1", "actions": ["0", "1"]}],
+           "strategies": [{"kind": "gallery", "player": "p1", "name": "multi"}]}
+    with pytest.raises(SchemaError, match="strategies\\[0\\]: gallery"):
+        parse_spec(doc)
+    doc["domain"]["size"] = 2
+    assert build_profile(parse_spec(doc))[0].player == "p1"
 
 
 def test_cli_meet(tmp_path, capsys):

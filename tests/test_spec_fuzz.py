@@ -1,0 +1,144 @@
+"""Mutated spec documents through the command line and the library.
+
+Each example takes a valid spec and applies one or two mutations: drop a
+key or list item; swap a value for one of another type, a malformed
+literal or a sibling's value; pad a key with a zero; append a key
+separator.  It checks that `totime spec` exits 0, or exits 2 with exactly
+one `error:` line; that every spec it accepts builds a profile and
+round-trips through spec_to_json; and that an accepted chain of at most
+64 times solves with exit 0 to 5.
+"""
+
+import contextlib
+import copy
+import io
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from totime import cli
+from totime import timeorder as to
+from totime.gamespec import build_profile, parse_spec, spec_to_json
+
+# json.dumps cannot write an integer past Python's 4,300-digit limit, so the
+# mutation writes this marker and the dumped text swaps in the digits
+BIG_MARKER = "<5000-digit integer>"
+BIG_INT = "7" * 5000
+
+PAYOFF_CD = {"rho": "1/2", "table": {"C,C": "1", "C,D": "0", "D,C": "2", "D,D": "-1/3"}}
+
+BASES = [
+    {"domain": {"kind": "chain", "size": 6},
+     "players": [{"id": "p1", "actions": ["C", "D"]}, {"id": "p2", "actions": ["C", "D"]}],
+     "strategies": [{"kind": "grim", "player": "p1", "cooperate": "C", "punish": "D",
+                     "delta": "2", "trigger_actions": ["D"]},
+                    {"kind": "constant", "player": "p2", "action": "D"}],
+     "payoff": PAYOFF_CD, "seed": 3},
+    {"domain": {"kind": "chain", "size": 3},
+     "players": [{"id": "p1", "actions": ["a", "b"]}, {"id": "p2", "actions": ["a", "b"]}],
+     "strategies": [{"kind": "table", "player": "p1",
+                     "entries": {"0": "a", "1|a,a": "b", "2|a,a;b,a": "a", "1|b,a": "a"}},
+                    {"kind": "constant", "player": "p2", "action": "a"}]},
+    {"domain": {"kind": "chain", "size": 8},
+     "players": [{"id": "p1", "actions": ["x", "y"]}, {"id": "p2", "actions": ["x"]},
+                 {"id": "p3", "actions": ["x", "y", "z"]}],
+     "strategies": [{"kind": "table", "player": "p1", "seed": 5},
+                    {"kind": "table", "player": "p2"},
+                    {"kind": "grim", "player": "p3", "cooperate": "x", "punish": "z",
+                     "delta": 1}],
+     "seed": 11},
+    {"domain": {"kind": "dense", "lo": "-1", "hi": "1/2"},
+     "players": [{"id": "p1", "actions": ["C", "D"]}, {"id": "p2", "actions": ["C", "D"]}],
+     "strategies": [{"kind": "grim", "player": "p1", "cooperate": "C", "punish": "D",
+                     "delta": "1/4"},
+                    {"kind": "grim", "player": "p2", "cooperate": "C", "punish": "D",
+                     "delta": "0.125"}],
+     "payoff": PAYOFF_CD},
+    {"domain": {"kind": "dense", "lo": "0", "hi": "2"},
+     "players": [{"id": "p1", "actions": ["C", "D"]}, {"id": "p2", "actions": ["C", "D"]}],
+     "strategies": [{"kind": "halving", "player": "p1", "cycle": ["C", "D"]},
+                    {"kind": "constant", "player": "p2", "action": "C"}]},
+    {"domain": {"kind": "dense", "lo": "0", "hi": "1"},
+     "players": [{"id": "p1", "actions": ["0", "1"]}],
+     "strategies": [{"kind": "gallery", "player": "p1", "name": "multi"}]},
+]
+
+LITERALS = ["1/0", "nan", "1e5000", "-1e-5000", "1/2", "0", "00", "-1", "2", BIG_MARKER]
+OTHERS = ["1|a", "a,b", "C;D", "", "x", "C", "D", "a", None, True, False, 0, 1, -1, 2, 1.5,
+          [], {}, [1, "C"], [["C"]], ["C"], {"0": "a", "00": "b"}]
+OPS = ["drop", "literal", "literal", "other", "sibling", "pad", "separator"]
+
+
+def _slots(node):
+    """Every (container, key) pair under node, the root's own keys first."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    out = []
+    for k in list(keys):
+        out.append((node, k))
+        if isinstance(node[k], (dict, list)):
+            out.extend(_slots(node[k]))
+    return out
+
+
+@st.composite
+def mutated_specs(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.sampled_from([1, 1, 2]))):
+        # half the mutations land in the strategy specs, where most checks are
+        strategies = doc.get("strategies")
+        slots = _slots(strategies if isinstance(strategies, (dict, list)) and strategies
+                       and draw(st.booleans()) else doc)
+        if not slots:
+            break
+        box, key = draw(st.sampled_from(slots))
+        op = draw(st.sampled_from(OPS))
+        if op == "drop":
+            del box[key]
+        elif op in ("literal", "other"):
+            values = LITERALS if op == "literal" else OTHERS
+            box[key] = copy.deepcopy(draw(st.sampled_from(values)))
+        elif op == "sibling":  # e.g. punish <- cooperate, or one list item <- another
+            other = draw(st.sampled_from(list(box.keys() if isinstance(box, dict)
+                                              else range(len(box)))))
+            box[key] = copy.deepcopy(box[other])
+        elif op == "pad" and isinstance(key, str):
+            box["0" + key] = copy.deepcopy(box[key])
+        elif op == "separator" and isinstance(box[key], str):
+            box[key] += draw(st.sampled_from([",", ";", "|", "|a", ",C", " "]))
+    return json.dumps(doc).replace(json.dumps(BIG_MARKER), BIG_INT)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check(text, path):
+    path.write_text(text)
+    code, out, err = _run(["spec", str(path)])
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        return
+    assert code == 0 and err == ""
+    spec = parse_spec(text)
+    assert json.loads(out) == spec_to_json(spec)
+    assert parse_spec(spec_to_json(spec)) == spec
+    profile = build_profile(spec)
+    assert [s.player for s in profile] == list(spec.players)
+    if to.is_chain(spec.domain) and spec.domain.size <= 64:
+        code, out, err = _run(["solve", str(path), "--budget", "64"])
+        assert code in range(6), (code, err)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@settings(max_examples=1500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_specs())
+def test_mutated_specs_exit_0_or_2_and_every_accepted_spec_builds(tmp_path_factory, within,
+                                                                  text):
+    path = tmp_path_factory.getbasetemp() / "mutant.json"
+    within(5, _check, text, path)

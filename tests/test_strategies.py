@@ -120,6 +120,16 @@ def test_random_table_is_deterministic_and_seed_sensitive():
     assert all(x in ("x", "y", "z") for x in picks_a)
 
 
+@pytest.mark.parametrize("make", [
+    lambda domain: make_table("p1", domain, {(0, ()): "x"}),
+    lambda domain: make_random_table("p1", domain, ("x", "y"), seed=0),
+], ids=["table", "random_table"])
+def test_table_strategies_require_a_finite_chain(make):
+    assert make(CHAIN).player == "p1"
+    with pytest.raises(BadParametersError, match="finite chain"):
+        make(DenseInterval(0, 1))
+
+
 def test_encode_chain_prefix():
     h = PiecewiseHistory.build(FiniteChain(3), ("p1", "p2"), {
         "p1": [(Interval(0, 2), "a")],

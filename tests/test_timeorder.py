@@ -1,12 +1,14 @@
 """Interval algebra on chain and dense domains."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from totime import timeorder as to
-from totime.errors import EmptySetError, PointNotInDomainError
+from totime.errors import EmptySetError, PointNotInDomainError, SchemaError
+from totime.solver import ZENO, SolveResult
 from totime.timeorder import DenseInterval, FiniteChain, Interval
 
 CHAIN = FiniteChain(4)
@@ -30,9 +32,53 @@ def test_require_point():
 
 def test_point_formatting_roundtrip():
     assert to.format_point(Fraction(1, 2)) == "1/2"
-    assert to.parse_point("1/2") == Fraction(1, 2)
-    assert to.parse_point("0.25") == Fraction(1, 4)
+    assert to.parse_rational("1/2", "$") == Fraction(1, 2)
+    assert to.parse_rational("0.25", "$") == Fraction(1, 4)
     assert to.format_point(3) == "3"
+
+
+@pytest.mark.parametrize("text", [
+    "1/2", "-3", "0.25", "1e-9", ".5", "1.", " 7/14 ", "+2E3", "-1.5e-3", "3/007",
+    "00012.500e+02", "1e4299", "1e-4298", "1/" + "7" * 4299, 0.5, 3,
+], ids=lambda v: str(v)[:20])
+def test_parse_rational_reads_what_fraction_reads(text):
+    assert to.parse_rational(text, "$") == Fraction(str(text))
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("1/0", "is not an exact rational"), ("1/00", "is not an exact rational"),
+    ("nan", "is not an exact rational"), ("inf", "is not an exact rational"),
+    ("1 / 2", "is not an exact rational"), ("1_000", "is not an exact rational"),
+    (True, "is not an exact rational"), (None, "is not an exact rational"),
+    ("1e5000", "more than 4300 digits"), ("1e999999999", "more than 4300 digits"),
+    ("1e-" + "9" * 5000, "more than 4300 digits"), (".1e-4299", "more than 4300 digits"),
+    ("1" * 4301, "more than 4300 digits"), ("0" * 4301, "more than 4300 digits"),
+    ("1e" + "0" * 100000 + "x", "is not an exact rational"),
+], ids=lambda v: str(v)[:20])
+def test_parse_rational_rejects_with_the_path_before_building(text, needle, within):
+    with pytest.raises(SchemaError) as e:
+        within(1, to.parse_rational, text, "domain.hi")
+    assert str(e.value).startswith("domain.hi: ") and needle in str(e.value)
+
+
+def test_parse_rational_integer_and_a_long_exponent_with_leading_zeros():
+    assert to.parse_rational("6/3", "$", integer=True) == 2
+    assert type(to.parse_rational("4", "$", integer=True)) is int
+    assert to.parse_rational("1e-" + "0" * 6000 + "5", "$") == Fraction(1, 10**5)
+    with pytest.raises(SchemaError, match="'1/2' is not an integer"):
+        to.parse_rational("1/2", "$", integer=True)
+
+
+def test_format_point_and_solve_json_render_points_past_the_str_limit():
+    big = Fraction(10**5000 + 1, 3**9000)  # 5,001 and 4,295 digits
+    text = to.format_point(big)
+    assert text == f"{Decimal(big.numerator)}/{Decimal(big.denominator)}"
+    assert len(text) > 9000 and to.format_point(-big).startswith("-1000")
+    assert to.format_point(10**5000) == "1" + "0" * 5000
+    result = SolveResult(ZENO, events=[(big, "at", ("C",), (None,))],
+                         accumulation=big, events_consumed=1)
+    out = result.to_json()
+    assert out["events"][0]["time"] == out["accumulation"] == text
 
 
 def test_interval_contains_respects_endpoints():
