@@ -419,17 +419,15 @@ def disagreement_set(
     h: PiecewiseHistory, g: PiecewiseHistory, player: Optional[str] = None
 ) -> IntervalSet:
     """The exact set of times at which the two histories differ (optionally
-    for a single player)."""
+    for a single player): per player, the cuts of one merge of the two
+    piece lists where the actions differ."""
     if h.domain != g.domain or h.players != g.players:
         raise ValueError("histories live on different games")
     out = []
-    for i in range(len(h.players)):
-        if player is not None and h.players[i] != player:
-            continue
-        for iv, a in h.per_player[i]:
-            for jv, b in g.per_player[i]:
-                if a != b:
-                    out.append(to.intersect(iv, jv))
+    for name, hp, gp in zip(h.players, h.per_player, g.per_player):
+        if player is None or name == player:
+            out += [cut for i, j, cut in to.overlaps([iv for iv, _ in hp], [jv for jv, _ in gp])
+                    if hp[i][1] != gp[j][1]]
     return to.make_interval_set(h.domain, out)
 
 

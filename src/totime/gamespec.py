@@ -71,7 +71,7 @@ def _parse_domain(obj, path: str) -> TimeDomain:
     kind = obj.get("kind")
     if kind == "chain":
         size = obj.get("size")
-        _expect(isinstance(size, int) and size > 0, f"{path}.size",
+        _expect(type(size) is int and size > 0, f"{path}.size",
                 "chain size must be a positive integer")
         return FiniteChain(size)
     if kind == "dense":
@@ -149,7 +149,7 @@ def _parse_strategy(obj, players, alphabets, domain, path: str) -> tuple[dict, M
             out["entries"] = dict(sorted(entries.items()))
             return out, lambda seed: make_table(player, domain, table)
         own = out["seed"] = obj.get("seed", 0)
-        _expect(isinstance(own, int), f"{path}.seed", "table seed must be an integer")
+        _expect(type(own) is int, f"{path}.seed", "table seed must be an integer")
         return out, lambda seed: make_random_table(player, domain, alpha, seed + own)
     if kind == "gallery":
         name = out["name"] = obj.get("name")
@@ -253,7 +253,7 @@ def parse_spec(text: Union[str, bytes, Mapping]) -> GameSpec:
             )
 
     seed = obj.get("seed", 0)
-    _expect(isinstance(seed, int) and seed >= 0, "seed",
+    _expect(type(seed) is int and seed >= 0, "seed",
             "seed must be a natural number")
 
     return GameSpec(domain, tuple(players), alphabets, tuple(strategies),
@@ -413,6 +413,10 @@ def evaluate_payoff(
     """
     if h.domain != spec.domain or h.players != spec.players:
         raise DomainMismatchError("history does not match the spec's game")
+    for p, pieces in zip(h.players, h.per_player):
+        for _, a in pieces:
+            if a not in spec.alphabets[p]:
+                raise DomainMismatchError(f"history of {p!r} plays {a!r}, not in its alphabet")
     if tol <= 0:
         raise BadParametersError(f"payoff tolerance must be positive, got {tol}")
     rho = spec.rho

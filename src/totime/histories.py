@@ -334,9 +334,10 @@ def history_from_json(domain: TimeDomain, players: Sequence[str], obj: Mapping) 
         for k, entry in enumerate(entries):
             path = f"{player}[{k}]"
             iv = to.interval_from_json(entry, domain, path)
-            if "action" not in entry:
-                raise SchemaError(f"{path}.action", "missing")
-            pieces[player].append((iv, str(entry["action"])))
+            if type(entry.get("action")) is not str:
+                raise SchemaError(f"{path}.action", f"{entry['action']!r} is not a string"
+                                  if "action" in entry else "missing")
+            pieces[player].append((iv, entry["action"]))
     return PiecewiseHistory.build(domain, players, pieces)
 
 

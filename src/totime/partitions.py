@@ -44,7 +44,7 @@ def partition_from_blocks(
     domain: TimeDomain, start: TimePoint, blocks: Sequence[Interval]
 ) -> OrderedPartition:
     """Validate that the blocks tile T^start and sort them by block order."""
-    cover = to.from_t(domain, start)
+    cover = to.from_t(domain, to.require_point(domain, start))
     tagged = [(b, str(i)) for i, b in enumerate(blocks)]
     # reuse the coverage validator; distinct tags disable run merging
     tiled = canonical_pieces(domain, tagged, cover)
@@ -123,28 +123,14 @@ def is_well_ordered(p: Union[OrderedPartition, RuleFamily], probe: int = 100) ->
 
 
 def meet2(p: OrderedPartition, q: OrderedPartition) -> OrderedPartition:
-    """Coarsest common refinement of two partitions of the same subgame.
-
-    Linear two-pointer merge over the sorted block lists; equals the set of
-    nonempty pairwise intersections.
-    """
+    """Coarsest common refinement of two partitions of the same subgame:
+    the nonempty pairwise intersections, in block order, by one merge."""
     if p.domain != q.domain or p.start != q.start:
         raise StartMismatchError(
             f"meet of partitions with starts {p.start!r} and {q.start!r}"
         )
-    out: list[Interval] = []
-    i = j = 0
-    while i < len(p.blocks) and j < len(q.blocks):
-        a, b = p.blocks[i], q.blocks[j]
-        cut = to.intersect(a, b)
-        if cut is not None:
-            out.append(cut)
-        # advance whichever block ends first
-        if a.hi < b.hi or (a.hi == b.hi and (not a.hi_closed or b.hi_closed)):
-            i += 1
-        else:
-            j += 1
-    return OrderedPartition(p.domain, p.start, tuple(out))
+    cuts = tuple(cut for _, _, cut in to.overlaps(p.blocks, q.blocks))
+    return OrderedPartition(p.domain, p.start, cuts)
 
 
 def meetN(parts: Sequence[OrderedPartition]) -> OrderedPartition:
@@ -158,9 +144,11 @@ def meetN(parts: Sequence[OrderedPartition]) -> OrderedPartition:
 
 
 def refines(fine: OrderedPartition, coarse: OrderedPartition) -> bool:
-    """Every block of `fine` lies inside exactly one block of `coarse`."""
-    for b in fine.blocks:
-        holders = [c for c in coarse.blocks if to.contains_interval(c, b)]
-        if len(holders) != 1:
-            return False
-    return True
+    """Every block of `fine` lies inside exactly one block of `coarse`.
+
+    The coarse blocks are disjoint, so that holds when each fine block
+    equals its cut with every coarse block it meets, which it then meets
+    alone, and the merge yields one cut per fine block.
+    """
+    cuts = [(i, cut) for i, _, cut in to.overlaps(fine.blocks, coarse.blocks)]
+    return len(cuts) == len(fine.blocks) and all(cut == fine.blocks[i] for i, cut in cuts)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import EmptySetError, PointNotInDomainError, SchemaError
 
@@ -449,6 +449,26 @@ def intersect(a: Interval, b: Interval) -> Optional[Interval]:
     if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
         return None
     return Interval(lo, hi, lo_closed, hi_closed)
+
+
+def overlaps(xs: Sequence[Interval], ys: Sequence[Interval]) -> Iterator[tuple[int, int, Interval]]:
+    """Each (i, j, xs[i] ∩ ys[j]) that is nonempty, in time order, for two
+    lists of disjoint intervals sorted by time.
+
+    A two-pointer merge: after each pair it drops whichever interval ends
+    first, which meets no later interval of the other list, so it calls
+    intersect at most len(xs) + len(ys) - 1 times.
+    """
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        a, b = xs[i], ys[j]
+        cut = intersect(a, b)
+        if cut is not None:
+            yield i, j, cut
+        if a.hi < b.hi or (a.hi == b.hi and (not a.hi_closed or b.hi_closed)):
+            i += 1
+        else:
+            j += 1
 
 
 def strictly_precedes(a: Interval, b: Interval) -> bool:

@@ -289,6 +289,30 @@ def test_cli_payoff_zero_tol_exits_2(tmp_path, capsys, within):
     assert "tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, hist", [
+    (grim_spec_dict(), {"p1": [{"lo": "0", "hi": "1/2", "hi_closed": False, "action": "C"},
+                               {"lo": "1/2", "hi": "1", "action": "X"}],
+                        "p2": [{"lo": "0", "hi": "1", "action": "C"}]}),
+    # an instant adds nothing to a dense payoff, but its action is still read
+    (grim_spec_dict(), {"p1": [{"lo": "0", "hi": "1/2", "hi_closed": False, "action": "C"},
+                               {"lo": "1/2", "hi": "1/2", "action": "X"},
+                               {"lo": "1/2", "hi": "1", "lo_closed": False, "action": "C"}],
+                        "p2": [{"lo": "0", "hi": "1", "action": "C"}]}),
+    (dict(grim_spec_dict(), domain={"kind": "chain", "size": 2}),
+     {"p1": [{"lo": "0", "hi": "1", "action": "C"}],
+      "p2": [{"lo": "0", "hi": "0", "action": "C"}, {"lo": "1", "hi": "1", "action": "1/0"}]}),
+])
+def test_cli_payoff_action_outside_alphabet_exits_2(tmp_path, capsys, spec, hist):
+    for strategy in spec["strategies"]:
+        strategy["delta"] = "1"
+    spec_path = write_json(tmp_path / "spec.json", spec)
+    hist_path = write_json(tmp_path / "hist.json", hist)
+    code, out, err = run_cli(capsys, ["payoff", spec_path, hist_path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: history of ") and "not in its alphabet" in err
+    assert err.count("\n") == 1
+
+
 def test_cli_gallery_seed_flag_beats_environment(monkeypatch, capsys):
     seen = []
     monkeypatch.setattr(cli, "run_gallery", lambda name, seed: seen.append(seed) or {})
@@ -503,6 +527,12 @@ def chain_grim_spec_dict():
     return doc
 
 
+def chain_table_spec_dict():
+    doc = chain_grim_spec_dict()
+    doc["strategies"][0] = {"kind": "table", "player": "p1", "seed": 1}
+    return doc
+
+
 def _edit(doc, path, value):
     *keys, last = path
     for k in keys:
@@ -533,6 +563,12 @@ BIG_INT = "9" * 5000
                  id="rho-1e-5000"),
     pytest.param(grim_spec_dict, ("seed",), BIG_INT, "$", id="seed-5000-digits"),
     pytest.param(grim_spec_dict, ("domain", "lo"), "[" * 100000, "$", id="nested-arrays"),
+    # JSON booleans are not integers
+    pytest.param(chain_grim_spec_dict, ("domain", "size"), True, "domain.size",
+                 id="size-true"),
+    pytest.param(chain_table_spec_dict, ("strategies", 0, "seed"), True,
+                 "strategies[0].seed", id="table-seed-true"),
+    pytest.param(grim_spec_dict, ("seed",), True, "seed", id="seed-true"),
 ])
 @pytest.mark.parametrize("command", ["spec", "solve", "check"])
 def test_cli_spec_value_read_once_exits_2(tmp_path, capsys, within, make, path, value,
@@ -701,8 +737,10 @@ def grim_history():
     (lambda h: h["p2"][0].update(lo="1", hi="0"), "p2[0]"),
     (lambda h: h["p1"][0].update(hi_closed="false"), "p1[0].hi_closed"),
     (lambda h: h["p2"][0].update(lo_closed=None), "p2[0].lo_closed"),
+    (lambda h: h["p1"][0].update(action=1), "p1[0].action"),
+    (lambda h: h["p2"][0].update(action=True), "p2[0].action"),
 ], ids=["no-action", "no-player", "bad-hi", "zero-denominator", "no-lo", "not-an-object",
-        "empty-interval", "string-hi-closed", "null-lo-closed"])
+        "empty-interval", "string-hi-closed", "null-lo-closed", "int-action", "bool-action"])
 def test_cli_payoff_history_of_wrong_shape_exits_2(tmp_path, capsys, edit, path):
     spec_path = write_json(tmp_path / "grim.json", grim_spec_dict())
     hist = grim_history()

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from totime import timeorder as to
-from totime.errors import EmptyFamilyError, StartMismatchError
+from totime.errors import EmptyFamilyError, PointNotInDomainError, StartMismatchError
 from totime.histories import PiecewiseHistory
 from totime.partitions import (
     HARMONIC_ASCENDING,
@@ -205,3 +205,8 @@ def test_meet_is_commutative_associative_idempotent():
         assert meet2(p, q).blocks == meet2(q, p).blocks
         assert meet2(meet2(p, q), r).blocks == meet2(p, meet2(q, r)).blocks
         assert meet2(p, p).blocks == p.blocks
+
+
+def test_partition_start_must_lie_in_the_domain():
+    with pytest.raises(PointNotInDomainError):
+        partition_from_blocks(UNIT, Fraction(2), [Interval(0, 1)])

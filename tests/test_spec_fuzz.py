@@ -4,8 +4,9 @@ Each example takes a valid spec and applies one or two mutations: drop a
 key or list item; swap a value for one of another type, a malformed
 literal or a sibling's value; pad a key with a zero; append a key
 separator.  It checks that `totime spec` exits 0, or exits 2 with exactly
-one `error:` line; that every spec it accepts builds a profile and
-round-trips through spec_to_json; and that an accepted chain of at most
+one `error:` line; that every spec it accepts builds a profile,
+round-trips through spec_to_json and echoes no boolean where an integer
+belongs; and that an accepted chain of at most
 64 times solves with exit 0 to 5.
 """
 
@@ -81,13 +82,12 @@ def _slots(node):
     return out
 
 
-@st.composite
-def mutated_specs(draw):
-    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+def _mutate(draw, doc, focus):
+    """Apply one or two mutations to doc, half of them inside doc[focus]
+    when that is a non-empty container, and return the JSON text."""
     for _ in range(draw(st.sampled_from([1, 1, 2]))):
-        # half the mutations land in the strategy specs, where most checks are
-        strategies = doc.get("strategies")
-        slots = _slots(strategies if isinstance(strategies, (dict, list)) and strategies
+        inner = doc.get(focus)
+        slots = _slots(inner if isinstance(inner, (dict, list)) and inner
                        and draw(st.booleans()) else doc)
         if not slots:
             break
@@ -109,6 +109,12 @@ def mutated_specs(draw):
     return json.dumps(doc).replace(json.dumps(BIG_MARKER), BIG_INT)
 
 
+@st.composite
+def mutated_specs(draw):
+    # half the mutations land in the strategy specs, where most checks are
+    return _mutate(draw, copy.deepcopy(draw(st.sampled_from(BASES))), "strategies")
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -124,7 +130,13 @@ def _check(text, path):
         return
     assert code == 0 and err == ""
     spec = parse_spec(text)
-    assert json.loads(out) == spec_to_json(spec)
+    echoed = json.loads(out)
+    assert echoed == spec_to_json(spec)
+    # JSON booleans are not integers: none is echoed where an integer belongs
+    ints = [echoed["seed"], *(s["seed"] for s in echoed["strategies"] if "seed" in s)]
+    if echoed["domain"]["kind"] == "chain":
+        ints.append(echoed["domain"]["size"])
+    assert all(type(x) is int for x in ints), echoed
     assert parse_spec(spec_to_json(spec)) == spec
     profile = build_profile(spec)
     assert [s.player for s in profile] == list(spec.players)
@@ -142,3 +154,86 @@ def test_mutated_specs_exit_0_or_2_and_every_accepted_spec_builds(tmp_path_facto
                                                                   text):
     path = tmp_path_factory.getbasetemp() / "mutant.json"
     within(5, _check, text, path)
+
+
+# -- payoff history files and meet partition files -----------------------------
+
+# (spec, history) pairs: a chain and two dense domains, with instants and
+# open and closed ends
+HISTORY_BASES = [
+    (BASES[0], {"p1": [{"lo": "0", "hi": "1", "action": "C"},
+                       {"lo": "2", "hi": "5", "action": "D"}],
+                "p2": [{"lo": "0", "hi": "5", "action": "D"}]}),
+    (BASES[3], {"p1": [{"lo": "-1", "hi": "-1/2", "hi_closed": False, "action": "C"},
+                       {"lo": "-1/2", "hi": "-1/2", "action": "D"},
+                       {"lo": "-1/2", "hi": "1/2", "lo_closed": False, "action": "C"}],
+                "p2": [{"lo": "-1", "hi": "1/2", "action": "D"}]}),
+    (dict(BASES[4], payoff=PAYOFF_CD),
+     {"p1": [{"lo": "0", "hi": "1", "lo_closed": True, "hi_closed": True, "action": "C"},
+             {"lo": "1", "hi": "2", "lo_closed": False, "hi_closed": True, "action": "D"}],
+      "p2": [{"lo": "0", "hi": "2", "action": "C"}]}),
+]
+
+# pairs of partitions of one subgame
+PARTITION_BASES = [
+    ({"domain": {"kind": "chain", "size": 6}, "start": 0,
+      "blocks": [{"lo": "0", "hi": "2"}, {"lo": "3", "hi": "5"}]},
+     {"domain": {"kind": "chain", "size": 6}, "start": 0,
+      "blocks": [{"lo": "0", "hi": "0"}, {"lo": "1", "hi": "4"}, {"lo": "5", "hi": "5"}]}),
+    ({"domain": {"kind": "dense", "lo": "-1", "hi": "1/2"}, "start": "-1/2",
+      "blocks": [{"lo": "-1/2", "hi": "0", "hi_closed": False}, {"lo": "0", "hi": "0"},
+                 {"lo": "0", "hi": "1/2", "lo_closed": False}]},
+     {"domain": {"kind": "dense", "lo": "-1", "hi": "1/2"}, "start": "-1/2",
+      "blocks": [{"lo": "-1/2", "hi": "-1/4"},
+                 {"lo": "-1/4", "hi": "1/2", "lo_closed": False}]}),
+    ({"domain": {"kind": "dense", "lo": "3", "hi": "13/2"}, "start": "3",
+      "blocks": [{"lo": "3", "hi": "4", "lo_closed": True, "hi_closed": True},
+                 {"lo": "4", "hi": "13/2", "lo_closed": False, "hi_closed": True}]},
+     {"domain": {"kind": "dense", "lo": "3", "hi": "13/2"}, "start": "3",
+      "blocks": [{"lo": "3", "hi": "4", "hi_closed": False},
+                 {"lo": "4", "hi": "13/2"}]}),
+]
+
+
+@st.composite
+def mutated_histories(draw):
+    spec, history = draw(st.sampled_from(HISTORY_BASES))
+    return json.dumps(spec), _mutate(draw, copy.deepcopy(history), draw(st.sampled_from(["p1", "p2"])))
+
+
+@st.composite
+def mutated_partition_pairs(draw):
+    pair = list(copy.deepcopy(draw(st.sampled_from(PARTITION_BASES))))
+    k = draw(st.integers(0, 1))
+    texts = [json.dumps(part) for part in pair]
+    texts[k] = _mutate(draw, pair[k], "blocks")
+    return texts
+
+
+def _exits_0_or_2(argv, files):
+    for path, text in files:
+        path.write_text(text)
+    code, out, err = _run(argv)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert code == 0 and err == "", (code, err)
+        json.loads(out)
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_histories())
+def test_mutated_payoff_histories_exit_0_or_2(tmp_path_factory, within, texts):
+    base = tmp_path_factory.getbasetemp()
+    spec, hist = base / "spec.json", base / "history.json"
+    within(5, _exits_0_or_2, ["payoff", str(spec), str(hist)], zip([spec, hist], texts))
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_partition_pairs())
+def test_mutated_meet_partitions_exit_0_or_2(tmp_path_factory, within, texts):
+    base = tmp_path_factory.getbasetemp()
+    paths = [base / "part1.json", base / "part2.json"]
+    within(5, _exits_0_or_2, ["meet", *map(str, paths)], zip(paths, texts))
