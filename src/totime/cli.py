@@ -86,10 +86,22 @@ def _solve(spec, profile, budget):
     return solve_dense(profile, pfx, event_budget=budget)
 
 
+def _count_flag(name: str, text) -> int:
+    """The value of an integer flag that must be at least 1, such as --budget."""
+    try:
+        n = int(text)
+    except ValueError:  # also past Python's 4,300-digit limit
+        raise BadParametersError(f"{name} must be an integer, got {text[:40]!r}") from None
+    if n < 1:
+        raise BadParametersError(f"{name} must be at least 1, got {n}")
+    return n
+
+
 def cmd_solve(args) -> int:
+    budget = _count_flag("--budget", args.budget)
     spec = parse_spec(_load_json(args.spec))
     profile = build_profile(spec, _seed_for(spec, args))
-    result = _solve(spec, profile, args.budget)
+    result = _solve(spec, profile, budget)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as f:
             for row in render_events(result.events):
@@ -152,8 +164,7 @@ def _axioms_flag(text: str) -> list[int]:
 
 def cmd_check(args) -> int:
     axioms = _axioms_flag(args.axioms)
-    if args.samples < 1:
-        raise BadParametersError(f"--samples must be at least 1, got {args.samples}")
+    samples = _count_flag("--samples", args.samples)
     spec = parse_spec(_load_json(args.spec))
     seed = _seed_for(spec, args)
     profile = build_profile(spec, seed)
@@ -172,7 +183,7 @@ def cmd_check(args) -> int:
                 rs.append(_initial_uniqueness(outcome))
             elif a == 4:
                 rs.append(check_inertiality(strategy, t0, h, spec.alphabets,
-                                            samples=args.samples, seed=seed))
+                                            samples=samples, seed=seed))
             else:
                 z = strategy.default_action or h.eval_player(p, t0)
                 rs.append(check_frictionality(p, z, t0, h))
@@ -258,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute the unique consistent history")
     p.add_argument("spec")
-    p.add_argument("--budget", type=int, default=DEFAULT_EVENT_BUDGET)
+    p.add_argument("--budget", default=str(DEFAULT_EVENT_BUDGET))
     p.add_argument("--out", help="write the history JSON here")
     p.add_argument("--trace", metavar="FILE",
                    help="write every event here, one JSON object per line")
@@ -269,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--axioms", default="1,2,3,4,5")
     p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--samples", default="32")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("oracle", help="every consistent history of a finite chain")

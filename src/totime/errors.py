@@ -66,7 +66,8 @@ class MissingWitnessError(TotimeError):
 
 
 class DomainMismatchError(TotimeError):
-    """A history and a game specification disagree on the time domain."""
+    """Two objects that must share a time domain do not: a history and a
+    game specification, or two partitions to meet."""
 
 
 class SchemaError(TotimeError):

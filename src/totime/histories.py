@@ -10,7 +10,8 @@ Pieces are sorted, so a lookup bisects over piece starts (a walk forward
 in time passes the last index as a hint and skips the bisect) and a
 prefix copies the pieces wholly below its cut, intersecting only the one
 or two pieces at the cut; chain solving and checking extend one
-append-only piece list per player by a step per time instead.
+append-only piece list per player by a step per time instead, and the
+dense walk hands out O(1) `PiecesView` snapshots of its own lists.
 
 Piece lists grow by one merging append, `_append_piece`, and are checked
 by one linear tiling check, `_tiled`, which `canonical_pieces` runs after
@@ -22,6 +23,8 @@ from __future__ import annotations
 import io
 import csv
 from bisect import bisect_left
+from collections import abc
+from itertools import chain, islice
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -48,6 +51,45 @@ def _append_piece(domain: TimeDomain, pieces: list, iv: Interval, action: str) -
                           action)
             return
     pieces.append((iv, action))
+
+
+class PiecesView(abc.Sequence):
+    """The pieces an append-only piece list holds now, as a read-only
+    sequence that is O(1) to take and reads like the tuple of those pieces:
+    len, truth, iteration, indexing, slicing (to a tuple), == and hash.
+
+    The list may grow later, and `_append_piece` may replace its last
+    piece in place when it merges, so the view keeps its length and holds
+    that last piece by value; every earlier slot never changes.
+    """
+
+    __slots__ = ("_pieces", "_n", "_last")
+
+    def __init__(self, pieces: list):
+        self._pieces, self._n = pieces, len(pieces)
+        self._last = pieces[-1] if pieces else None
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        return chain(islice(self._pieces, self._n - 1), (self._last,)) if self._n else iter(())
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        n = self._n
+        if not -n <= k < n:
+            raise IndexError("piece index out of range")
+        return self._last if k % n == n - 1 else self._pieces[k % n]
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, PiecesView)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 def _tiled(domain: TimeDomain, pieces: Sequence[Piece], cover: Interval) -> tuple[Piece, ...]:
@@ -241,12 +283,16 @@ class PiecewiseHistory:
 
 @dataclass(frozen=True)
 class HistoryPrefix:
-    """The restriction of a history to T_<cut (or T_<=cut when cut_included)."""
+    """The restriction of a history to T_<cut (or T_<=cut when cut_included).
+
+    Each player's pieces are a tuple, or a `PiecesView` in the dense walk's
+    snapshots; the two compare and hash alike.
+    """
 
     domain: TimeDomain
     cut: TimePoint
     players: tuple[str, ...]
-    per_player: tuple[tuple[Piece, ...], ...]
+    per_player: tuple[Sequence[Piece], ...]
     cut_included: bool = False
 
     @property
@@ -258,7 +304,7 @@ class HistoryPrefix:
             return to.at_or_before(self.domain, self.cut)
         return to.before(self.domain, self.cut)
 
-    def pieces_for(self, player: str) -> tuple[Piece, ...]:
+    def pieces_for(self, player: str) -> Sequence[Piece]:
         return self.per_player[self.players.index(player)]
 
     def eval(self, t: TimePoint) -> tuple[str, ...]:

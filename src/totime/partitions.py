@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import EmptyFamilyError, StartMismatchError, UnknownNameError
+from .errors import DomainMismatchError, EmptyFamilyError, StartMismatchError, UnknownNameError
 from . import timeorder as to
 from .histories import PiecewiseHistory, canonical_pieces
 from .timeorder import Interval, TimeDomain, TimePoint
@@ -122,13 +122,19 @@ def is_well_ordered(p: Union[OrderedPartition, RuleFamily], probe: int = 100) ->
     return WellOrderReport(False, "analytic", witness)
 
 
+def _domain_text(d: TimeDomain) -> str:
+    return (f"the chain of size {d.size}" if to.is_chain(d)
+            else f"[{to.format_point(d.lo)}, {to.format_point(d.hi)}]")
+
+
 def meet2(p: OrderedPartition, q: OrderedPartition) -> OrderedPartition:
     """Coarsest common refinement of two partitions of the same subgame:
     the nonempty pairwise intersections, in block order, by one merge."""
-    if p.domain != q.domain or p.start != q.start:
-        raise StartMismatchError(
-            f"meet of partitions with starts {p.start!r} and {q.start!r}"
-        )
+    if p.domain != q.domain:
+        raise DomainMismatchError(f"meet of partitions over {_domain_text(p.domain)} "
+                                  f"and {_domain_text(q.domain)}")
+    if p.start != q.start:
+        raise StartMismatchError(f"meet of partitions with starts {p.start!r} and {q.start!r}")
     cuts = tuple(cut for _, _, cut in to.overlaps(p.blocks, q.blocks))
     return OrderedPartition(p.domain, p.start, cuts)
 

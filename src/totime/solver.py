@@ -34,6 +34,7 @@ from . import timeorder as to
 from .histories import (
     HistoryPrefix,
     Piece,
+    PiecesView,
     PiecewiseHistory,
     _append_piece,
     splice,
@@ -194,11 +195,13 @@ def _walk(pfx: HistoryPrefix, step, close):
     consistency walk and the traceability probe.
 
     `step(c, p)` reads the actions at c from p, a snapshot of the pieces
-    committed so far, and returns (actions, r) with r >= c to commit them on
-    [c, r), or anything else to stop the walk with that result.  An r equal
-    to c commits the instant c; the step then reads the right limit from a
-    snapshot with p.cut_included and returns (actions, r2) for (c, r2).  At
-    the top the walk closes with a singleton and returns close(pieces).
+    committed so far made of O(1) `PiecesView`s of the walk's own lists (a
+    step may keep it: later events do not change it), and returns
+    (actions, r) with r >= c to commit them on [c, r), or anything else to
+    stop the walk with that result.  An r equal to c commits the instant c;
+    the step then reads the right limit from a snapshot with
+    p.cut_included and returns (actions, r2) for (c, r2).  At the top the
+    walk closes with a singleton and returns close(pieces).
     Only equality is tested on r: an ordering comparison of Zeno event
     times, whose denominators grow to 2^budget, costs far more.
     """
@@ -211,7 +214,7 @@ def _walk(pfx: HistoryPrefix, step, close):
             _append_piece(domain, pp, iv, a)
 
     def read(included: bool):
-        return step(c, HistoryPrefix(domain, c, players, tuple(map(tuple, pieces)),
+        return step(c, HistoryPrefix(domain, c, players, tuple(map(PiecesView, pieces)),
                                      included))
 
     while True:

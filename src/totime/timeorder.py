@@ -22,7 +22,9 @@ Dense points are often dyadic, and the hashes of dyadic rationals collide
 must not key dicts or sets by point value; ``PiecewiseHistory.change_times``
 and ``axioms._sampled_consistent`` still do.  Exact ordering comparisons
 of such points are also far dearer than equality tests, which is why
-``_try_union`` tests adjacency first.
+``_try_union`` tests adjacency first; when both denominators are big and
+one divides the other, ``Point`` orders them by one division instead of
+two big products.
 """
 
 from __future__ import annotations
@@ -117,14 +119,31 @@ def _arithmetic(kernel, forward_fallback, reverse_fallback):
     return forward, reverse
 
 
+# Past this size a division with a small quotient costs less than a big
+# product; below it comparisons cross-multiply whatever the denominators.
+_BIG = 1 << 256
+
+
 def _ordering(op, fallback):
     """a op b for a Point a: cross-multiplied for Point, Fraction and int
-    operands (denominators are positive), Fraction's own method for any other."""
+    operands (denominators are positive), Fraction's own method for any other.
+
+    When both denominators pass _BIG and one divides the other, as the
+    powers of one base that geometric accumulation makes always do, the
+    other numerator is scaled by their quotient instead: a divmod and one
+    product rather than two big products.
+    """
 
     def compare(a, b):
         tb = type(b)
         if tb is Point or tb is Fraction:
-            return op(a._numerator * b._denominator, b._numerator * a._denominator)
+            da, db = a._denominator, b._denominator
+            if da > _BIG and db > _BIG:
+                q, r = divmod(db, da) if da <= db else divmod(da, db)
+                if not r:
+                    return (op(a._numerator * q, b._numerator) if da <= db
+                            else op(a._numerator, b._numerator * q))
+            return op(a._numerator * db, b._numerator * da)
         if tb is int:
             return op(a._numerator, b * a._denominator)
         return fallback(a, b)

@@ -614,6 +614,17 @@ def test_cli_meet(tmp_path, capsys):
     assert los == ["0", "3", "4"]
 
 
+def test_cli_meet_of_different_chains_names_both_sizes(tmp_path, capsys):
+    def chain(size):
+        return write_json(tmp_path / f"c{size}.json",
+                          {"domain": {"kind": "chain", "size": size}, "start": 0,
+                           "blocks": [{"lo": 0, "hi": size - 1}]})
+
+    code, out, err = run_cli(capsys, ["meet", chain(6), chain(7)])
+    assert (code, out) == (2, "")
+    assert err == "error: meet of partitions over the chain of size 6 and the chain of size 7\n"
+
+
 def dense_partition():
     return {"domain": {"kind": "dense", "lo": "0", "hi": "1"}, "start": "0",
             "blocks": [{"lo": "0", "hi": "1/2", "hi_closed": False},
@@ -684,6 +695,13 @@ def test_cli_check_bad_flags_exit_2(tmp_path, capsys, flags, needle):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and needle in captured.err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_cli_solve_budget_below_1_exits_2(tmp_path, capsys, budget):
+    spec_path = write_json(tmp_path / "grim.json", grim_spec_dict())
+    code, out, err = run_cli(capsys, ["solve", spec_path, f"--budget={budget}"])
+    assert (code, out, err) == (2, "", f"error: --budget must be at least 1, got {budget}\n")
 
 
 def test_cli_bad_spec_exits_2(tmp_path, capsys):

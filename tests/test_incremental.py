@@ -7,10 +7,14 @@ the pieces from the first, a chain payoff sums rho_hat**t per time.
 `old_canonical_pieces` (the sorting history builder with its own check
 and merge loops) is the oracle of the one linear tiling check that
 `canonical_pieces` and the walks' finish share.  The guards count calls, not time, so the
-quadratic rebuild cannot come back unnoticed.
+quadratic rebuild cannot come back unnoticed.  The dense walk's snapshots
+are checked against the tuples they replace and against the finished
+history's prefixes, and must share the walk's own piece lists.
 """
 
+import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -360,3 +364,70 @@ def test_solve_from_a_prefix_that_does_not_tile_raises(pieces, error):
     except error:
         return
     raise AssertionError(f"no {error.__name__}")
+
+
+# -- the dense walk's snapshots ------------------------------------------------
+
+
+def recording(strategy, seen: list):
+    """strategy, also keeping every prefix it is handed with a copy of its
+    pieces taken then."""
+
+    def respond(t, p):
+        seen.append((p, tuple(map(tuple, p.per_player))))
+        return strategy.respond(t, p)
+
+    return dataclasses.replace(strategy, respond=respond)
+
+
+def test_pieces_view_reads_like_the_tuple_it_replaces():
+    iv = [Interval(k, k + 1, True, False) for k in range(6)]
+    for n in range(5):
+        pieces = [(iv[k], "ab"[k % 2]) for k in range(n)]
+        want = tuple(pieces)
+        view = histories.PiecesView(pieces)
+        # later growth: a merge replaces the last piece, then appends follow
+        if pieces:
+            pieces[-1] = (Interval(pieces[-1][0].lo, 99), "z")
+        pieces.extend([(iv[5], "c")] * 3)
+        assert view == want and want == view and not view != want
+        assert hash(view) == hash(want)
+        assert len(view) == n and bool(view) == bool(want)
+        assert list(view) == list(want) and list(reversed(view)) == list(reversed(want))
+        for k in range(-n - 2, n + 2):
+            if -n <= k < n:
+                assert view[k] == want[k]
+            else:
+                with pytest.raises(IndexError):
+                    view[k]
+        for cut in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -2)):
+            assert view[cut] == want[cut] and type(view[cut]) is tuple
+        assert all(p in view for p in want) and (iv[5], "c") not in view
+        assert view != pieces and view != list(want)
+        snap, plain = (HistoryPrefix(DenseInterval(0, 9), n, ("p",), (pp,))
+                       for pp in (view, want))
+        assert snap == plain and hash(snap) == hash(plain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_histories(), st.sampled_from([None, 1, 2]))
+def test_kept_snapshots_read_as_at_their_cut(h, jitter):
+    """A strategy that keeps every snapshot of a solve, in which the constant
+    player's last piece merges at every event, reads each one as it was at
+    its cut, equal to the finished history's prefix there; and all
+    snapshots share the walk's piece lists, so no event copied pieces."""
+    seen: list = []
+    players = h.players + ("z",)
+    profile = [recording(make_scripted(p, h.domain, h.pieces_for(p)), seen)
+               for p in h.players]
+    profile.append(recording(make_constant("z", "a", ALPHABET, h.domain), seen))
+    rng = None if jitter is None else random.Random(jitter)
+    res = solver.solve_dense(profile, empty_prefix(h.domain, players), jitter=rng)
+    assert res.outcome == solver.UNIQUE
+    assert res.history.per_player[:-1] == h.per_player
+    for p, copied in seen:
+        assert p.per_player == copied
+        assert histories.prefix_equal(p, prefix(res.history, p.cut, p.cut_included))
+    assert all(type(pp) is histories.PiecesView for p, _ in seen for pp in p.per_player)
+    lists = [{id(p.per_player[i]._pieces) for p, _ in seen} for i in range(len(players))]
+    assert [len(ids) for ids in lists] == [1] * len(players)

@@ -7,7 +7,12 @@ from fractions import Fraction
 import pytest
 
 from totime import timeorder as to
-from totime.errors import EmptyFamilyError, PointNotInDomainError, StartMismatchError
+from totime.errors import (
+    DomainMismatchError,
+    EmptyFamilyError,
+    PointNotInDomainError,
+    StartMismatchError,
+)
 from totime.histories import PiecewiseHistory
 from totime.partitions import (
     HARMONIC_ASCENDING,
@@ -196,6 +201,28 @@ def test_meet_requires_same_start():
     q = random_partition(random.Random(2), start=Fraction(1, 32))
     with pytest.raises(StartMismatchError):
         meet2(p, q)
+
+
+def test_meet_names_the_domains_when_they_differ():
+    def chain(size):
+        return partition_from_blocks(FiniteChain(size), 0, [Interval(0, size - 1)])
+
+    with pytest.raises(DomainMismatchError,
+                       match="^meet of partitions over the chain of size 6 "
+                             "and the chain of size 7$"):
+        meet2(chain(6), chain(7))
+    half = partition_from_blocks(DenseInterval(0, Fraction(1, 2)), 0,
+                                 [Interval(0, Fraction(1, 2))])
+    with pytest.raises(DomainMismatchError, match=r"^meet of partitions over \[0, 1/2\] "
+                                                  r"and the chain of size 6$"):
+        meet2(half, chain(6))
+    # domains are compared first, so different starts on different domains
+    # still name the domains
+    late = partition_from_blocks(FiniteChain(7), 1, [Interval(1, 6)])
+    with pytest.raises(DomainMismatchError, match="size 6 and the chain of size 7$"):
+        meet2(chain(6), late)
+    with pytest.raises(StartMismatchError, match="^meet of partitions with starts 0 and 1$"):
+        meet2(chain(7), late)
 
 
 def test_meet_is_commutative_associative_idempotent():

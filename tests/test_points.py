@@ -105,6 +105,56 @@ def test_other_operands_get_fractions_own_methods(other):
             assert str(got) == str(want) and type(got) in (type(want), Point)
 
 
+# -- big points: ordering by the quotient of the denominators -------------------
+
+PAST_GATE = 2**257  # both denominators past this take the divisibility test
+
+
+@st.composite
+def big_pairs(draw):
+    """Two values whose denominators both pass the gate and are equal, one
+    divides the other, or (almost always) neither; each numerator is
+    coprime to its denominator, or zero, so the fractions keep them."""
+    d = draw(st.integers(PAST_GATE, 2**700))
+    m = draw(st.integers(1, 2**80))
+    kind = draw(st.sampled_from(["equal", "a divides b", "b divides a", "unrelated"]))
+    da, db = {"equal": (d, d), "a divides b": (d, d * m), "b divides a": (d * m, d),
+              "unrelated": (d, draw(st.integers(PAST_GATE, 2**700)))}[kind]
+
+    def value(den):
+        if draw(st.integers(0, 9)) == 0:
+            return Fraction(0)
+        f = Fraction(1 + den * draw(st.integers(-2**40, 2**40)), den)
+        assert f.denominator == den
+        return f
+
+    a, b = value(da), value(db)
+    # Point against Point, and mixed Point / Fraction operands either way
+    wrap = draw(st.sampled_from([(Point, Point), (Point, Fraction), (Fraction, Point)]))
+    return wrap[0](a), wrap[1](b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(big_pairs())
+def test_big_point_ordering_matches_fraction(pair):
+    a, b = pair
+    pa, pb = plain(a), plain(b)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        assert op(a, b) is op(pa, pb), op
+        assert op(b, a) is op(pb, pa), op
+
+
+def test_consecutive_halving_points_compare_fast(within):
+    k = 200_000
+    a = Point(2**k - 1, 2**k)
+    b = Point(2**(k + 1) - 1, 2**(k + 1))
+
+    def compare():
+        return all(a < b and not b <= a for _ in range(2_500))
+
+    assert within(1, compare)
+
+
 # -- the guard -----------------------------------------------------------------
 
 

@@ -7,7 +7,9 @@ separator.  It checks that `totime spec` exits 0, or exits 2 with exactly
 one `error:` line; that every spec it accepts builds a profile,
 round-trips through spec_to_json and echoes no boolean where an integer
 belongs; and that an accepted chain of at most
-64 times solves with exit 0 to 5.
+64 times solves with exit 0 to 5.  Payoff history files, meet partition
+files and the `--tol`, `--budget`, `--axioms` and `--samples` flags are
+mutated the same way.
 """
 
 import contextlib
@@ -15,7 +17,7 @@ import copy
 import io
 import json
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from totime import cli
@@ -237,3 +239,77 @@ def test_mutated_meet_partitions_exit_0_or_2(tmp_path_factory, within, texts):
     base = tmp_path_factory.getbasetemp()
     paths = [base / "part1.json", base / "part2.json"]
     within(5, _exits_0_or_2, ["meet", *map(str, paths)], zip(paths, texts))
+
+
+# -- command-line flags ------------------------------------------------------
+
+# Each flag is mutated on commands that read it; the files are bases above.
+# Positive --budget and --samples values stay at or below 64, so that no
+# case starts a long walk.
+FLAG_RUNS = {
+    "--budget": [("solve", BASES[4]), ("solve", BASES[3])],
+    "--samples": [("check", BASES[3]), ("check", BASES[0])],
+    "--axioms": [("check", BASES[3]), ("check", BASES[0])],
+    "--tol": [("payoff", *HISTORY_BASES[1]), ("payoff", *HISTORY_BASES[0])],
+}
+# the exit codes of a run that accepts its flags
+VERDICT_EXITS = {"solve": range(6), "check": range(3), "payoff": range(1)}
+HUGE = ["9" * 5000, "1" + "0" * 4400]
+COUNT_BODIES = ["0", "00", "007", "1_0", "\u0663", "1e1", "1.5", "1/2", "0x10", "nan",
+                "inf", "x", "", " ", *HUGE]
+TOL_BODIES = ["1e-9", "1/1000", "0.001", "1e-4299", "1e-5000", "1e4299", "1e5000", "0",
+              "1/0", "1/" + "9" * 5000, "0." + "0" * 4298 + "1", "abc", "nan", "", *HUGE]
+AXIOM_ITEMS = ["1", "2", "3", "4", "5", "0", "6", "-1", "+2", " 3 ", "x", "", "05", "1.0",
+               *HUGE]
+
+
+def _int_or_none(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+@st.composite
+def mutated_flags(draw):
+    flag = draw(st.sampled_from(sorted(FLAG_RUNS)))
+    if flag == "--axioms":
+        text = ",".join(draw(st.lists(st.sampled_from(AXIOM_ITEMS), min_size=1, max_size=4)))
+    else:
+        bodies = TOL_BODIES if flag == "--tol" else COUNT_BODIES
+        body = draw(st.one_of(st.integers(0, 64).map(str), st.sampled_from(bodies)))
+        text = (draw(st.sampled_from(["", "", "-", "+", " "])) + body
+                + draw(st.sampled_from(["", "", ",", " ", "x", "0"])))
+        if flag != "--tol":
+            n = _int_or_none(text)
+            assume(n is None or n <= 64)
+    return flag, text, draw(st.sampled_from(FLAG_RUNS[flag]))
+
+
+def _flag_exits(base, flag, text, run):
+    command, *docs = run
+    paths = [base / f"flag{k}.json" for k in range(len(docs))]
+    for path, doc in zip(paths, docs):
+        path.write_text(json.dumps(doc))
+    # --flag=text: argparse reads a separate "-1,1" as an option, not a value
+    code, out, err = _run([command, *map(str, paths), f"{flag}={text}"])
+    if out == "":
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+    else:
+        assert code in VERDICT_EXITS[command], (code, err)
+        assert not any(line.startswith("error:") for line in err.splitlines()), err
+        json.loads(out)
+    if flag in ("--budget", "--samples"):
+        n = _int_or_none(text)
+        assert (out == "") == (n is None or n < 1), (text, code, err)
+    elif flag == "--axioms":
+        items = [_int_or_none(a) for a in text.split(",") if a.strip()]
+        assert (out == "") == any(a not in (1, 2, 3, 4, 5) for a in items), (text, err)
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_flags())
+def test_mutated_flags_exit_0_or_2(tmp_path_factory, within, case):
+    flag, text, run = case
+    within(5, _flag_exits, tmp_path_factory.getbasetemp(), flag, text, run)
