@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Mapping, Optional, Sequence
 
 from .errors import PrefixMismatchError, SetOutsideSubgameError
@@ -190,15 +191,16 @@ def _sampled_consistent(
     samples: int, seed: int,
 ) -> ConsistencyReport:
     rng = random.Random(seed)
-    points = {p for p in h.change_times() if p >= t and target.contains(p)}
+    points = [p for p in h.change_times() if p >= t and target.contains(p)]
     # every target piece lies in [t, top], so every sample lies in its piece
     for iv in target.pieces:
         lo = max(iv.lo, t)
-        points.add(lo)
+        points.append(lo)
         for _ in range(max(1, samples // max(1, len(target.pieces)))):
-            points.add(lo + (iv.hi - lo) * _rand_fraction(rng))
+            points.append(lo + (iv.hi - lo) * _rand_fraction(rng))
+    points.sort()
     checked = 0
-    for s in sorted(points):
+    for s, _ in groupby(points):  # each point once, compared but never hashed
         if not target.contains(s):
             continue
         pfx = history_prefix(h, s, include=False)

@@ -47,6 +47,9 @@ from .solver import (
 from .timeorder import interval_from_json
 
 SOLVE_EXIT = {"unique": 0, "no_trace": 3, "zeno": 4, "budget": 5}
+# a check of axiom 4 on the grim duel at this many samples takes about 8 s
+# (Python 3.11, 2 vCPUs); far more would run until killed
+MAX_SAMPLES = 100_000
 
 
 def _load_json(path: str):
@@ -165,6 +168,8 @@ def _axioms_flag(text: str) -> list[int]:
 def cmd_check(args) -> int:
     axioms = _axioms_flag(args.axioms)
     samples = _count_flag("--samples", args.samples)
+    if samples > MAX_SAMPLES:
+        raise BadParametersError(f"--samples must be at most {MAX_SAMPLES}, got {samples}")
     spec = parse_spec(_load_json(args.spec))
     seed = _seed_for(spec, args)
     profile = build_profile(spec, seed)
@@ -260,8 +265,16 @@ def cmd_spec(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end like every other bad input: one `error:` line on
+    stderr and exit 2.  Subparsers are made of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="totime",
         description="Exact engine for deterministic totally-ordered-time games",
     )

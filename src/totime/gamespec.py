@@ -386,6 +386,13 @@ def _stage_payoffs(spec: GameSpec, combo: tuple[str, ...]) -> Mapping[str, Fract
     return spec.payoff_table[combo]
 
 
+def _integer_weights(spec: GameSpec, payoffs: list) -> tuple[int, list[list[int]]]:
+    """scale, the lcm of the payoffs' denominators, and each u * scale, so
+    the sums over times or stretches stay integers."""
+    scale = math.lcm(*(u[p].denominator for u in payoffs for p in spec.players))
+    return scale, [[int(u[p] * scale) for p in spec.players] for u in payoffs]
+
+
 def evaluate_payoff(
     h: PiecewiseHistory, spec: GameSpec, tol: Fraction = Fraction(1, 10**9)
 ) -> PayoffVector:
@@ -421,43 +428,48 @@ def evaluate_payoff(
         raise BadParametersError(f"payoff tolerance must be positive, got {tol}")
     rho = spec.rho
     if to.is_chain(spec.domain):
-        rho_hat = Fraction(1, 1) / (1 + rho)
-        lo = {p: Fraction(0) for p in spec.players}
-        weight = Fraction(1)  # rho_hat**t
-        for combo in chain_actions(h.per_player, spec.domain.size):
-            u = _stage_payoffs(spec, combo)
-            for p in spec.players:
-                lo[p] += weight * u[p]
-            weight *= rho_hat
-        return PayoffVector(spec.players, dict(lo), dict(lo))
+        # rho = a/b, so rho_hat = b/c with c = a + b; with integer weights
+        # w = u * scale, acc_t = acc_{t-1} c + w_t b^t sums w_t b^t c^(n-1-t)
+        b = rho.denominator
+        c = rho.numerator + b
+        combos = chain_actions(h.per_player, spec.domain.size)
+        distinct = list(dict.fromkeys(combos))  # each tuple once, in time order
+        scale, ws = _integer_weights(spec, [_stage_payoffs(spec, combo) for combo in distinct])
+        weights = dict(zip(distinct, ws))
+        acc = [0] * len(spec.players)
+        b_t = 1
+        for combo in combos:
+            for i, w in enumerate(weights[combo]):
+                acc[i] = acc[i] * c + w * b_t
+            b_t *= b
+        den = scale * c ** (len(combos) - 1)
+        exact = {p: Fraction(n, den) for p, n in zip(spec.players, acc)}
+        return PayoffVector(spec.players, exact, dict(exact))
 
     times = h.change_times()
-    payoffs = [_stage_payoffs(spec, combo) for combo in stretch_actions(h.per_player, times)]
-    # integer weights w = u * scale, so the per-stretch sums stay integers
-    scale = math.lcm(*(u[p].denominator for u in payoffs for p in spec.players))
-    stretches = [(a, b, [int(u[p] * scale) for p in spec.players])
-                 for a, b, u in zip(times, times[1:], payoffs)]
+    # weights[k] belongs to the stretch [times[k], times[k+1]]
+    scale, weights = _integer_weights(spec, [_stage_payoffs(spec, combo)
+                                             for combo in stretch_actions(h.per_player, times)])
     if rho == 0:
-        exact = {p: sum(ws[i] * (b - a) for a, b, ws in stretches) / scale
+        exact = {p: sum(ws[i] * (b - a) for a, b, ws in zip(times, times[1:], weights)) / scale
                  for i, p in enumerate(spec.players)}
         return PayoffVector(spec.players, exact, dict(exact))
 
-    top = max(abs(w) for _, _, ws in stretches for w in ws)
+    top = max(abs(w) for ws in weights for w in ws)
     c = min(times[0], 0)
     amp = math.ceil(-3 * rho * c / 2)  # e^{-rho c} <= 2^amp, as log2(e) < 3/2
     # 24 n covers 6 ulps per stretch plus the factor's width;
     # amp + 3 bits keep f_lo >= 5
-    bits = max(amp + 3, _ceil_log2(24 * len(stretches) * max(top, 1) * 4**amp
+    bits = max(amp + 3, _ceil_log2(24 * len(weights) * max(top, 1) * 4**amp
                                    / (scale * rho * tol)))
     while True:
         one = 1 << bits
-        enc = {t: _exp_neg_fixed(rho * (t - c), bits) for t in times}
+        enc = [_exp_neg_fixed(rho * (t - c), bits) for t in times]
         f_lo, f_hi = _exp_neg_fixed(-rho * c, bits)
         factor = (Fraction(one, f_hi), Fraction(one, f_lo))  # encloses e^{-rho c}
         n_lo = [0] * len(spec.players)
         n_hi = [0] * len(spec.players)
-        for a, b, ws in stretches:
-            (la, ha), (lb, hb) = enc[a], enc[b]
+        for (la, ha), (lb, hb), ws in zip(enc, enc[1:], weights):
             d_lo, d_hi = la - hb, ha - lb  # brackets one * (e^{-rho(a-c)} - e^{-rho(b-c)})
             for i, w in enumerate(ws):
                 n_lo[i] += min(w * d_lo, w * d_hi)

@@ -24,7 +24,8 @@ import io
 import csv
 from bisect import bisect_left
 from collections import abc
-from itertools import chain, islice
+from heapq import merge
+from itertools import chain, groupby, islice
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -272,13 +273,18 @@ class PiecewiseHistory:
         return eval_pieces(self.pieces_for(player), t)
 
     def change_times(self) -> list[TimePoint]:
-        """All piece boundary coordinates, for exact spot checks."""
-        pts = set()
-        for pp in self.per_player:
-            for iv, _ in pp:
-                pts.add(iv.lo)
-                pts.add(iv.hi)
-        return sorted(pts)
+        """All piece boundary coordinates in order, for exact spot checks.
+
+        Each player's bounds are already sorted, so they are merged and
+        repeats dropped by equality, never hashed.  A dense piece ends where
+        the next starts, so the starts and the top are all of them.
+        """
+        runs = [[iv.lo for iv, _ in pp] for pp in self.per_player]
+        if to.is_chain(self.domain):  # a chain piece ends one time before the next starts
+            runs += [[iv.hi for iv, _ in pp] for pp in self.per_player]
+        else:
+            runs.append([self.domain.hi])
+        return [t for t, _ in groupby(merge(*runs))]
 
 
 @dataclass(frozen=True)

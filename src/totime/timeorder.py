@@ -19,8 +19,7 @@ history and partition documents and on the command line.
 
 Dense points are often dyadic, and the hashes of dyadic rationals collide
 (``hash((2**k - 1) / 2**k)`` repeats with period 61 in k), so hot paths
-must not key dicts or sets by point value; ``PiecewiseHistory.change_times``
-and ``axioms._sampled_consistent`` still do.  Exact ordering comparisons
+must not key dicts or sets by point value.  Exact ordering comparisons
 of such points are also far dearer than equality tests, which is why
 ``_try_union`` tests adjacency first; when both denominators are big and
 one divides the other, ``Point`` orders them by one division instead of

@@ -688,13 +688,40 @@ def test_cli_meet_bad_blocks_exit_2(tmp_path, capsys, blocks, path):
     (["--axioms", "7"], "unknown axiom 7"),
     (["--samples", "-3"], "--samples"),
     (["--samples", "0"], "--samples"),
-], ids=["axiom-not-a-number", "unknown-axiom", "negative-samples", "zero-samples"])
-def test_cli_check_bad_flags_exit_2(tmp_path, capsys, flags, needle):
+    (["--samples", "100001"], "--samples must be at most 100000, got 100001"),
+    (["--samples", "1000000000000"], "--samples must be at most 100000, got 1000000000000"),
+], ids=["axiom-not-a-number", "unknown-axiom", "negative-samples", "zero-samples",
+        "samples-past-cap", "samples-10e12"])
+def test_cli_check_bad_flags_exit_2(tmp_path, capsys, within, flags, needle):
     spec_path = write_json(tmp_path / "grim.json", grim_spec_dict())
-    assert cli.main(["check", spec_path] + flags) == 2
+    assert within(5, cli.main, ["check", spec_path] + flags) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and needle in captured.err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["check", "SPEC", "--axioms", "-1,1"], "argument --axioms: expected one argument"),
+    (["payoff", "SPEC", "SPEC", "--tol", "-1e-9"], "argument --tol: expected one argument"),
+    (["gallery", "nope"], "argument name: invalid choice"),
+    ([], "the following arguments are required: command"),
+], ids=["axioms-like-an-option", "tol-like-an-option", "unknown-gallery", "no-command"])
+def test_cli_usage_errors_print_one_error_line(tmp_path, capsys, argv, needle):
+    spec_path = write_json(tmp_path / "grim.json", grim_spec_dict())
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([spec_path if a == "SPEC" else a for a in argv])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert needle in captured.err
+
+
+def test_cli_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["check", "-h"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: totime check")
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

@@ -2,12 +2,16 @@
 
 The oracles below are the definitions the engine used to evaluate
 literally: a prefix intersects every piece with the window, a lookup scans
-the pieces from the first, a chain payoff sums rho_hat**t per time.
+the pieces from the first, a chain payoff (`per_time_sum`) grows one
+Fraction weight rho_hat**t per time, the reference of the engine's one
+integer pass, and change times are the sorted set of every piece bound.
 `bisect_index_after` is `index_after` before it took a cursor hint, and
 `old_canonical_pieces` (the sorting history builder with its own check
 and merge loops) is the oracle of the one linear tiling check that
-`canonical_pieces` and the walks' finish share.  The guards count calls, not time, so the
-quadratic rebuild cannot come back unnoticed.  The dense walk's snapshots
+`canonical_pieces` and the walks' finish share.  The prefix guards count
+calls, not time, so the quadratic rebuild cannot come back unnoticed; the
+payoff guards cap time on long chains and many dyadic points, and refuse
+any hash of a time point.  The dense walk's snapshots
 are checked against the tuples they replace and against the finished
 history's prefixes, and must share the walk's own piece lists.
 """
@@ -23,6 +27,7 @@ from hypothesis import strategies as st
 
 from totime import histories, solver
 from totime import timeorder as to
+from totime.axioms import is_consistent
 from totime.errors import CoverageGapError, CoverageOverlapError, MissingEntryError
 from totime.gamespec import build_profile, evaluate_payoff, parse_spec
 from totime.histories import (
@@ -35,7 +40,7 @@ from totime.histories import (
     piece_at,
     prefix,
 )
-from totime.strategies import Response, make_constant, make_scripted
+from totime.strategies import Response, Strategy, make_constant, make_scripted
 from totime.timeorder import DenseInterval, FiniteChain, Interval
 
 GRID = 16
@@ -218,19 +223,119 @@ def chain_spec(h: PiecewiseHistory, rho: Fraction, values: list) -> dict:
     }
 
 
-@settings(max_examples=60, deadline=None)
-@given(chain_histories(),
-       st.fractions(min_value=0, max_value=3, max_denominator=7),
-       st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=9),
-                min_size=1, max_size=8))
+def per_time_sum(h: PiecewiseHistory, spec) -> dict:
+    """The chain payoff as the engine once summed it: one Fraction weight
+    rho_hat**t, grown by one product per time, and one sum per player."""
+    rho_hat = Fraction(1, 1) / (1 + spec.rho)
+    lo = {p: Fraction(0) for p in spec.players}
+    weight = Fraction(1)
+    for t in h.domain.points():
+        u = spec.payoff_table[h.eval(t)]
+        for p in spec.players:
+            lo[p] += weight * u[p]
+        weight *= rho_hat
+    return lo
+
+
+NEAR_MILLION = st.integers(10**6 - 3, 10**6 + 3)
+RHOS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(1, 5).map(Fraction),
+    st.fractions(min_value=0, max_value=3, max_denominator=7),
+    st.builds(Fraction, NEAR_MILLION, st.integers(1, 7)),
+    st.builds(Fraction, st.integers(1, 7), NEAR_MILLION),
+)
+# table values whose denominators differ, small and near 10^6
+TABLE_VALUES = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    st.builds(Fraction, st.integers(-10**6, 10**6), NEAR_MILLION),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(chain_histories(), RHOS, st.lists(TABLE_VALUES, min_size=1, max_size=8))
 def test_chain_payoff_equals_per_time_sum(h, rho, values):
     spec = parse_spec(json.dumps(chain_spec(h, rho, values)))
-    rho_hat = Fraction(1) / (1 + rho)
-    want = {p: sum((rho_hat**t * spec.payoff_table[h.eval(t)][p]
-                    for t in h.domain.points()), Fraction(0))
-            for p in h.players}
     vec = evaluate_payoff(h, spec)
-    assert vec.lo == vec.hi == want
+    assert vec.lo == vec.hi == per_time_sum(h, spec)
+
+
+def test_chain_payoff_raises_on_the_first_missing_tuple_in_time_order():
+    domain = FiniteChain(4)
+    h = PiecewiseHistory.build(domain, ("p0",), {"p0": [(Interval(0, 1), "b"),
+                                                         (Interval(2, 3), "a")]})
+    spec = parse_spec(json.dumps(chain_spec(h, Fraction(1, 2), [Fraction(1)])))
+    spec = dataclasses.replace(spec, payoff_table={})
+    with pytest.raises(KeyError) as missing:
+        evaluate_payoff(h, spec)
+    assert missing.value.args == (("b",),)
+
+
+def test_long_chain_payoff_is_one_integer_pass(within):
+    """20,000 times at rho = 1/4 with rational values: the per-time Fraction
+    sum takes about 50 s, one integer pass about 0.2 s (Python 3.11, 2 vCPUs)."""
+    n = 20_000
+    pieces = [(Interval(k, min(k + 99, n - 1)), "ab"[(k // 100) % 2]) for k in range(0, n, 100)]
+    h = PiecewiseHistory.build(FiniteChain(n), ("p0", "p1"),
+                               {"p0": pieces, "p1": [(Interval(0, n - 1), "a")]})
+    values = [Fraction(3, 7), Fraction(-1, 3), Fraction(5, 11), Fraction(2)]
+    spec = parse_spec(json.dumps(chain_spec(h, Fraction(1, 4), values)))
+    vec = within(2, evaluate_payoff, h, spec)
+    assert vec.lo == vec.hi
+    for p in h.players:  # a float sum agrees to rounding
+        approx = sum(float(spec.payoff_table[h.eval(t)][p]) * 0.8**t for t in range(n))
+        assert float(vec.lo[p]) == pytest.approx(approx, rel=1e-12)
+
+
+# -- change times ----------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(dense_histories(), chain_histories()))
+def test_change_times_are_every_bound_sorted(h):
+    bounds = {t for pp in h.per_player for iv, _ in pp for t in (iv.lo, iv.hi)}
+    assert h.change_times() == sorted(bounds)
+
+
+def halving_history(n: int) -> PiecewiseHistory:
+    """One player on [0, 1], cut at the n points (2^k - 1)/2^k, whose hashes
+    repeat with period 61 in k."""
+    cuts = [Fraction(2**k - 1, 2**k) for k in range(1, n + 1)]
+    pieces = [(Interval(a, b, True, False), "ab"[k % 2])
+              for k, (a, b) in enumerate(zip([Fraction(0), *cuts], cuts))]
+    pieces.append((Interval(cuts[-1], Fraction(1)), "ab"[n % 2]))
+    return PiecewiseHistory.build(DenseInterval(0, 1), ("p0",), {"p0": pieces})
+
+
+def test_change_times_at_halving_points(within):
+    h = halving_history(4096)
+    times = within(1, h.change_times)
+    assert len(times) == 4098 and times[0] == 0 and times[-1] == 1
+
+
+def test_payoff_and_sampled_consistency_hash_no_point(monkeypatch):
+    h = halving_history(64)
+    script = make_scripted("p0", h.domain, h.per_player[0])
+    no_holds = Strategy("p0", lambda t, p: Response(script.respond(t, p).action, None),
+                        name="no_holds", black_box=True)
+    want_check = is_consistent(h, [no_holds], samples=8)
+    assert want_check.consistent and want_check.method == "sampled"
+    spec = parse_spec(json.dumps({
+        "domain": {"kind": "dense", "lo": "0", "hi": "1"},
+        "players": [{"id": "p0", "actions": list(ALPHABET)}],
+        "strategies": [{"kind": "constant", "player": "p0", "action": "a"}],
+        "payoff": {"rho": "1/3", "table": {"a": "1/2", "b": "-2"}},
+    }))
+    want = evaluate_payoff(h, spec)
+
+    def refuse(_):
+        raise AssertionError("a time point was hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    monkeypatch.setattr(to.Point, "__hash__", refuse)
+    assert h.change_times()[:2] == [0, Fraction(1, 2)]
+    assert evaluate_payoff(h, spec) == want
+    assert is_consistent(h, [no_holds], samples=8) == want_check
 
 
 # -- guards against the per-query rebuild -------------------------------------

@@ -9,7 +9,9 @@ round-trips through spec_to_json and echoes no boolean where an integer
 belongs; and that an accepted chain of at most
 64 times solves with exit 0 to 5.  Payoff history files, meet partition
 files and the `--tol`, `--budget`, `--axioms` and `--samples` flags are
-mutated the same way.
+mutated the same way; a flag value is passed as `--flag=value` or as an
+argument of its own, where one that looks like an option is a usage error
+that must also end in one `error:` line.
 """
 
 import contextlib
@@ -120,7 +122,10 @@ def mutated_specs(draw):
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # the argument parser's usage errors
+            code = e.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -245,7 +250,8 @@ def test_mutated_meet_partitions_exit_0_or_2(tmp_path_factory, within, texts):
 
 # Each flag is mutated on commands that read it; the files are bases above.
 # Positive --budget and --samples values stay at or below 64, so that no
-# case starts a long walk.
+# case starts a long walk, except --samples values past cli.MAX_SAMPLES,
+# which are refused before any check starts.
 FLAG_RUNS = {
     "--budget": [("solve", BASES[4]), ("solve", BASES[3])],
     "--samples": [("check", BASES[3]), ("check", BASES[0])],
@@ -256,7 +262,7 @@ FLAG_RUNS = {
 VERDICT_EXITS = {"solve": range(6), "check": range(3), "payoff": range(1)}
 HUGE = ["9" * 5000, "1" + "0" * 4400]
 COUNT_BODIES = ["0", "00", "007", "1_0", "\u0663", "1e1", "1.5", "1/2", "0x10", "nan",
-                "inf", "x", "", " ", *HUGE]
+                "inf", "x", "", " ", str(cli.MAX_SAMPLES + 1), "1000000000000", *HUGE]
 TOL_BODIES = ["1e-9", "1/1000", "0.001", "1e-4299", "1e-5000", "1e4299", "1e5000", "0",
               "1/0", "1/" + "9" * 5000, "0." + "0" * 4298 + "1", "abc", "nan", "", *HUGE]
 AXIOM_ITEMS = ["1", "2", "3", "4", "5", "0", "6", "-1", "+2", " 3 ", "x", "", "05", "1.0",
@@ -282,17 +288,19 @@ def mutated_flags(draw):
                 + draw(st.sampled_from(["", "", ",", " ", "x", "0"])))
         if flag != "--tol":
             n = _int_or_none(text)
-            assume(n is None or n <= 64)
-    return flag, text, draw(st.sampled_from(FLAG_RUNS[flag]))
+            assume(n is None or n <= 64 or (flag == "--samples" and n > cli.MAX_SAMPLES))
+    # --flag=text, or text as its own argument, which the parser refuses
+    # when it looks like an option, such as "-1,1"
+    argv = draw(st.sampled_from([[f"{flag}={text}"], [flag, text]]))
+    return flag, text, argv, draw(st.sampled_from(FLAG_RUNS[flag]))
 
 
-def _flag_exits(base, flag, text, run):
+def _flag_exits(base, flag, text, argv, run):
     command, *docs = run
     paths = [base / f"flag{k}.json" for k in range(len(docs))]
     for path, doc in zip(paths, docs):
         path.write_text(json.dumps(doc))
-    # --flag=text: argparse reads a separate "-1,1" as an option, not a value
-    code, out, err = _run([command, *map(str, paths), f"{flag}={text}"])
+    code, out, err = _run([command, *map(str, paths), *argv])
     if out == "":
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
     else:
@@ -301,7 +309,8 @@ def _flag_exits(base, flag, text, run):
         json.loads(out)
     if flag in ("--budget", "--samples"):
         n = _int_or_none(text)
-        assert (out == "") == (n is None or n < 1), (text, code, err)
+        refused = n is None or n < 1 or (flag == "--samples" and n > cli.MAX_SAMPLES)
+        assert (out == "") == refused, (text, code, err)
     elif flag == "--axioms":
         items = [_int_or_none(a) for a in text.split(",") if a.strip()]
         assert (out == "") == any(a not in (1, 2, 3, 4, 5) for a in items), (text, err)
@@ -311,5 +320,5 @@ def _flag_exits(base, flag, text, run):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutated_flags())
 def test_mutated_flags_exit_0_or_2(tmp_path_factory, within, case):
-    flag, text, run = case
-    within(5, _flag_exits, tmp_path_factory.getbasetemp(), flag, text, run)
+    flag, text, argv, run = case
+    within(5, _flag_exits, tmp_path_factory.getbasetemp(), flag, text, argv, run)
