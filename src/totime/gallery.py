@@ -28,7 +28,9 @@ from .axioms import (
 from .histories import PiecewiseHistory, empty_prefix, history_to_json
 from .solver import oracle_enumerate, solve_chain, solve_dense, verify_unique
 from .strategies import (
-    _chain_strategy,
+    Response,
+    Strategy,
+    encode_chain_prefix,
     make_gallery,
     make_grim_trigger,
     make_scripted,
@@ -95,8 +97,8 @@ def _discrete_contrast(seed: int) -> dict:
          lambda past: "1" if any(a == "1" for a in past) else "0",
          ("0", "0", "0")),
     ):
-        strategy = _chain_strategy(
-            "p1", lambda t, seq: rule([a[0] for a in seq]), "chain_rule")
+        strategy = Strategy("p1", lambda t, p: Response(
+            rule([a[0] for a in encode_chain_prefix(p)])), name="chain_rule")
         pfx = empty_prefix(domain, ("p1",))
         solved = solve_chain([strategy], pfx)
         oracle = oracle_enumerate([strategy], pfx, alphabets)

@@ -9,9 +9,10 @@ right-limit re-queries after instantaneous pieces).
 Pieces are sorted, so a lookup bisects over piece starts (a walk forward
 in time passes the last index as a hint and skips the bisect) and a
 prefix copies the pieces wholly below its cut, intersecting only the one
-or two pieces at the cut; chain solving and checking extend one
-append-only piece list per player by a step per time instead, and the
-dense walk hands out O(1) `PiecesView` snapshots of its own lists.
+or two pieces at the cut; the chain solver, checker and oracle extend
+one append-only piece list per player and one of action tuples by a step
+per time instead, and the dense walk hands out O(1) `PiecesView`
+snapshots of its own lists.
 
 Piece lists grow by one merging append, `_append_piece`, and are checked
 by one linear tiling check, `_tiled`, which `canonical_pieces` runs after
@@ -26,7 +27,7 @@ from bisect import bisect_left
 from collections import abc
 from heapq import merge
 from itertools import chain, groupby, islice
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -55,20 +56,22 @@ def _append_piece(domain: TimeDomain, pieces: list, iv: Interval, action: str) -
 
 
 class PiecesView(abc.Sequence):
-    """The pieces an append-only piece list holds now, as a read-only
-    sequence that is O(1) to take and reads like the tuple of those pieces:
-    len, truth, iteration, indexing, slicing (to a tuple), == and hash.
+    """The first n items of an append-only list (all it holds now by
+    default), as a read-only sequence that is O(1) to take and reads like
+    the tuple of those items: len, truth, iteration, indexing, slicing (to
+    a tuple), == and hash.
 
     The list may grow later, and `_append_piece` may replace its last
     piece in place when it merges, so the view keeps its length and holds
-    that last piece by value; every earlier slot never changes.
+    its last item by value; every earlier slot never changes.
     """
 
     __slots__ = ("_pieces", "_n", "_last")
 
-    def __init__(self, pieces: list):
-        self._pieces, self._n = pieces, len(pieces)
-        self._last = pieces[-1] if pieces else None
+    def __init__(self, pieces: list, n: Optional[int] = None):
+        self._pieces = pieces
+        self._n = n = len(pieces) if n is None else n
+        self._last = pieces[n - 1] if n else None
 
     def __len__(self) -> int:
         return self._n
@@ -292,7 +295,10 @@ class HistoryPrefix:
     """The restriction of a history to T_<cut (or T_<=cut when cut_included).
 
     Each player's pieces are a tuple, or a `PiecesView` in the dense walk's
-    snapshots; the two compare and hash alike.
+    snapshots; the two compare and hash alike.  A chain snapshot made by
+    the engine also carries its action tuples at times below the cut, as a
+    `PiecesView` of the engine's own list, in `actions`: it is left out of
+    ==, hash and repr, and only `strategies.encode_chain_prefix` reads it.
     """
 
     domain: TimeDomain
@@ -300,6 +306,7 @@ class HistoryPrefix:
     players: tuple[str, ...]
     per_player: tuple[Sequence[Piece], ...]
     cut_included: bool = False
+    actions: Optional[Sequence[tuple]] = field(default=None, compare=False, repr=False)
 
     @property
     def is_empty(self) -> bool:

@@ -3,11 +3,12 @@
 On finite chains the solution is plain forward recursion: each time's
 action tuple is determined by the strategy profile applied to the prefix
 built so far.  That prefix is incremental: one append-only list of merged
-pieces per player grows by one step per time, and each time takes a single
-HistoryPrefix snapshot of it for every strategy.  The enumeration oracle
-checks the solver independently: it lists the consistent completions by
-a forward search that rejects each block of candidates at its first
-inconsistent time, and builds every prefix afresh with seq_to_prefix.
+pieces per player and one of action tuples grow by one step per time, and
+each time takes a single HistoryPrefix snapshot of them, asked of every
+strategy through `respond`.  The enumeration oracle lists the consistent
+completions by its own forward search, which rejects each block of
+candidates at its first inconsistent time; it grows the same kind of lists
+and asks the same snapshots.
 On dense domains one event walk, `_walk`, runs the solver, the
 consistency walk and the traceability probe of `axioms`: at each event
 time a caller's step reads every player's action and the next bound, the
@@ -150,23 +151,17 @@ def seq_to_prefix(
     return HistoryPrefix(domain, cut, tuple(players), tuple(map(tuple, per)))
 
 
-def _chain_responses(profile: Sequence[Strategy], s: int, seq: Sequence[tuple],
+def _chain_responses(profile: Sequence[Strategy], s: int, seq: list,
                      per: Sequence[list], domain: TimeDomain, players: tuple):
-    """Yield each strategy's action at chain time s, in profile order.
-
-    `per` holds the merged pieces of times below s; the action-tuple prefix
-    and the HistoryPrefix are each built at most once for all players.
+    """Yield each strategy's action at chain time s, in profile order, all
+    read from one snapshot: the merged pieces of times below s in `per`,
+    and an O(1) view of the first s action tuples of the engine's list
+    `seq`, which only ever grows at its end.
     """
-    past = snapshot = None
+    snapshot = HistoryPrefix(domain, s, players, tuple(map(tuple, per)),
+                             actions=PiecesView(seq, s))
     for strategy in profile:
-        if strategy.chain_respond is not None:
-            if past is None:
-                past = tuple(seq[:s])
-            yield strategy.chain_respond(s, past)
-        else:
-            if snapshot is None:
-                snapshot = HistoryPrefix(domain, s, players, tuple(map(tuple, per)))
-            yield strategy.respond(s, snapshot).action
+        yield strategy.respond(s, snapshot).action
 
 
 def solve_chain(profile: Sequence[Strategy], pfx: HistoryPrefix) -> SolveResult:
@@ -181,11 +176,12 @@ def solve_chain(profile: Sequence[Strategy], pfx: HistoryPrefix) -> SolveResult:
     for s, actions in enumerate(seq):
         _chain_step(per, s, actions)
     events = []
+    holds = (None,) * len(players)
     for s in range(pfx.cut, domain.size):
         actions = tuple(_chain_responses(profile, s, seq, per, domain, players))
         seq.append(actions)
         _chain_step(per, s, actions)
-        events.append((s, "at", actions, tuple(None for _ in players)))
+        events.append((s, "at", actions, holds))
     history = PiecewiseHistory.from_walk(domain, players, per)
     return SolveResult(UNIQUE, history, events, events_consumed=len(events))
 
@@ -342,15 +338,17 @@ def oracle_enumerate(
     alphabets: Mapping[str, Sequence[str]],
     limit: int = 10**7,
 ) -> OracleResult:
-    """Enumerate the consistent completions of a chain prefix, independently
-    of the solver.
+    """Enumerate the consistent completions of a chain prefix by a search of
+    its own, which the tests check against references that rebuild every
+    prefix from scratch.
 
     A strategy answers a prefix with exactly one tuple and consistency is
     pointwise, so a candidate that differs from the forced tuple at some
-    time fails with every continuation.  The search goes forward in time,
-    querying each strategy once per time (chain_respond, or respond on a
-    prefix built by seq_to_prefix); survivors come in itertools.product
-    order.  `limit` bounds the nominal space, len(tuples) ** times left.
+    time fails with every continuation.  The search goes forward in time
+    from the prefix rebuilt by seq_to_prefix, asking each strategy once per
+    time on a snapshot of lists it extends in place; survivors come in
+    itertools.product order.  `limit` bounds the nominal space,
+    len(tuples) ** times left.
     """
     domain = pfx.domain
     players = pfx.players
@@ -363,19 +361,17 @@ def oracle_enumerate(
     if _space_exceeds(len(tuples), n_times, limit):
         raise SearchSpaceTooLargeError(
             f"search space {len(tuples)}^{n_times} exceeds limit {limit}")
-    seq = encode_chain_prefix(pfx)
+    seq = list(encode_chain_prefix(pfx))
+    per = [list(pp) for pp in seq_to_prefix(domain, players, seq, t0).per_player]
     steps = []  # per time, the alphabet tuples equal to the forced tuple
     for s in range(t0, domain.size):
-        forced = tuple(
-            st.chain_respond(s, seq) if st.chain_respond is not None
-            else st.respond(s, seq_to_prefix(domain, players, seq, s)).action
-            for st in profile
-        )
+        forced = tuple(_chain_responses(profile, s, seq, per, domain, players))
         matches = [t for t in tuples if t == forced]
         if not matches:
             return OracleResult([], 0)
         steps.append(matches)
-        seq += (matches[0],)
+        seq.append(matches[0])
+        _chain_step(per, s, matches[0])
     histories = [
         splice(pfx, {
             p: [(to.singleton(t0 + k), combo[k][i]) for k in range(n_times)]

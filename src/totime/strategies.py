@@ -23,7 +23,15 @@ from .errors import (
     UnknownNameError,
 )
 from . import timeorder as to
-from .histories import HistoryPrefix, Piece, chain_actions, eval_pieces, index_after, index_at
+from .histories import (
+    HistoryPrefix,
+    Piece,
+    PiecesView,
+    chain_actions,
+    eval_pieces,
+    index_after,
+    index_at,
+)
 from .timeorder import DenseInterval, FiniteChain, TimeDomain, TimePoint
 
 
@@ -56,25 +64,16 @@ class Strategy:
     black_box: bool = False
     default_action: Optional[str] = None  # z_i, when frictional
     inertial_witness: Optional[InertialWitness] = None
-    # fast path for finite chains: (t, tuple-of-action-tuples) -> action
-    chain_respond: Optional[Callable[[int, tuple], str]] = None
 
 
-def encode_chain_prefix(p: HistoryPrefix) -> tuple:
-    """A chain prefix as the tuple of action tuples at times 0..cut-1."""
+def encode_chain_prefix(p: HistoryPrefix) -> Sequence[tuple]:
+    """A chain prefix as the sequence of action tuples at times 0..cut-1:
+    an O(1) view of the engine's list for the engine's snapshots, else a
+    tuple read off the pieces.  Both compare and hash like that tuple."""
+    if p.actions is not None:
+        return p.actions
     end = p.cut + 1 if p.cut_included else p.cut
     return tuple(chain_actions(p.per_player, end))
-
-
-def _chain_strategy(player: str, chain_respond: Callable[[int, tuple], str],
-                    name: str) -> Strategy:
-    """A finite-chain strategy given by chain_respond; its respond encodes
-    the prefix as action tuples and asks chain_respond."""
-
-    def respond(t: TimePoint, p: HistoryPrefix) -> Response:
-        return Response(chain_respond(t, encode_chain_prefix(p)), None)
-
-    return Strategy(player, respond, name=name, chain_respond=chain_respond)
 
 
 def make_constant(player: str, action: str, alphabet: Sequence[str],
@@ -83,10 +82,10 @@ def make_constant(player: str, action: str, alphabet: Sequence[str],
     if action not in alphabet:
         raise ActionNotInAlphabetError(f"{action!r} not in alphabet of {player}")
     top = domain.top
-    hold = None if to.is_chain(domain) else top
+    answer = Response(action, None if to.is_chain(domain) else top)
 
     def respond(t: TimePoint, p: HistoryPrefix) -> Response:
-        return Response(action, hold)
+        return answer
 
     def witness(t: TimePoint, p: HistoryPrefix):
         return top, action
@@ -97,7 +96,6 @@ def make_constant(player: str, action: str, alphabet: Sequence[str],
         name=f"constant({action})",
         default_action=action,
         inertial_witness=witness,
-        chain_respond=(lambda t, seq: action) if to.is_chain(domain) else None,
     )
 
 
@@ -187,23 +185,18 @@ def make_table(
     """Explicit finite-chain strategy: (t, prefix action sequence) -> action."""
     if not to.is_chain(domain):
         raise BadParametersError("table strategies require a finite chain")
-    tbl = dict(table)
+    answers = {key: Response(action, None) for key, action in table.items()}
 
-    def chain_respond(t: int, seq: tuple) -> str:
-        key = (t, seq)
-        if key not in tbl:
+    def respond(t: TimePoint, p: HistoryPrefix) -> Response:
+        key = (t, tuple(encode_chain_prefix(p)))
+        if key not in answers:
             raise MissingEntryError(f"table of {player} missing entry for {key!r}")
-        return tbl[key]
+        return answers[key]
 
-    return _chain_strategy(player, chain_respond, "table")
-
-
-def _is_action_tuple(item) -> bool:
-    """A tuple of str: two equal ones have equal reprs, which 1 == True lacks."""
-    return type(item) is tuple and all(type(a) is str for a in item)
+    return Strategy(player, respond, name="table")
 
 
-def _render_items(seq: tuple) -> str:
+def _render_items(seq: Sequence) -> str:
     """The items of seq as its repr shows them: ", ".join(map(repr, seq))."""
     return ", ".join(map(repr, seq))
 
@@ -217,41 +210,37 @@ def make_random_table(
     """A seeded pseudo-random total table over all chain prefixes.
 
     The action at (t, prefix) is a stable digest of (seed, player, t,
-    prefix), so replays with the same seed are identical across processes.
-    A query whose prefix extends the previous one by one action tuple, as
-    in forward recursion and the consistency walk, appends that tuple's
-    repr to the previous rendering instead of rendering the whole prefix;
-    the digest still reads all of it.
+    repr(prefix as a tuple of action tuples)), so replays with the same
+    seed are identical across processes.  A query on an engine snapshot
+    one action tuple longer than the last query's, over the same engine
+    list, as in forward recursion and the consistency walk, appends that
+    tuple's repr to the previous rendering instead of rendering the whole
+    prefix; the digest still reads all of it.
     """
     if not to.is_chain(domain):
         raise BadParametersError("table strategies require a finite chain")
     if not alphabet:
         raise BadParametersError("empty alphabet")
-    actions = tuple(alphabet)
-    # (prefix, its rendered items) of the last query, read and written
-    # whole; only prefixes of action tuples are kept, so an equal prefix
-    # always renders the same
-    last = ((), "")
+    answers = tuple(Response(a, None) for a in alphabet)
+    # (engine list or None, length, rendered items) of the last query; the
+    # list's slots below a view's length never change, so it identifies them
+    last = (None, 0, "")
 
-    def chain_respond(t: int, seq: tuple) -> str:
+    def respond(t: TimePoint, p: HistoryPrefix) -> Response:
         nonlocal last
-        if type(seq) is tuple:
-            prev, body = last
-            if len(seq) == len(prev) + 1 and _is_action_tuple(seq[-1]) \
-                    and seq[:-1] == prev:
-                body = f"{body}, {seq[-1]!r}" if prev else repr(seq[-1])
-                last = (seq, body)
-            else:
-                body = _render_items(seq)
-                last = (seq, body) if all(map(_is_action_tuple, seq)) else ((), "")
-            text = f"({body},)" if len(seq) == 1 else f"({body})"
+        seq = encode_chain_prefix(p)
+        src, n, body = last
+        own = seq._pieces if type(seq) is PiecesView else None
+        if own is not None and own is src and len(seq) == n + 1:
+            body = f"{body}, {seq[-1]!r}" if n else repr(seq[-1])
         else:
-            text = repr(seq)
-        payload = f"{seed}|{player}|{t}|{text}".encode()
-        digest = hashlib.sha256(payload).digest()
-        return actions[int.from_bytes(digest[:8], "big") % len(actions)]
+            body = _render_items(seq)
+        last = (own, len(seq), body)
+        text = f"({body},)" if len(seq) == 1 else f"({body})"
+        digest = hashlib.sha256(f"{seed}|{player}|{t}|{text}".encode()).digest()
+        return answers[int.from_bytes(digest[:8], "big") % len(answers)]
 
-    return _chain_strategy(player, chain_respond, f"random_table(seed={seed})")
+    return Strategy(player, respond, name=f"random_table(seed={seed})")
 
 
 def make_scripted(
@@ -296,7 +285,6 @@ def make_scripted(
         respond,
         name="scripted",
         default_action=default_action,
-        chain_respond=(lambda t, seq: eval_pieces(script, t)) if to.is_chain(domain) else None,
     )
 
 

@@ -21,10 +21,12 @@ from totime.solver import solve_chain, solve_dense
 from totime.strategies import (
     Response,
     Strategy,
+    encode_chain_prefix,
     make_constant,
     make_gallery,
     make_grim_trigger,
     make_scripted,
+    make_table,
 )
 from totime.timeorder import DenseInterval, FiniteChain, Interval
 
@@ -33,16 +35,10 @@ HALF = Fraction(1, 2)
 
 
 def chain_rule(player, rule):
-    def chain_respond(t, seq):
-        return rule([a[0] for a in seq])
-
     def respond(t, p):
-        from totime.strategies import encode_chain_prefix
+        return Response(rule([a[0] for a in encode_chain_prefix(p)]), None)
 
-        return Response(chain_respond(t, encode_chain_prefix(p)), None)
-
-    return Strategy(player, respond, name="rule",
-                    chain_respond=chain_respond)
+    return Strategy(player, respond, name="rule")
 
 
 def chain_history(values):
@@ -66,6 +62,19 @@ def test_constant_profile_constant_history_consistent():
     h = unit_history([(to.full_interval(UNIT), "C")])
     rep = is_consistent(h, profile)
     assert rep.consistent and rep.method == "witness-based"
+
+
+def test_chain_consistency_asks_players_in_order_up_to_the_first_disagreement():
+    # p2's table has no entry after (b, b), but p1 already disagrees at 1
+    domain = FiniteChain(2)
+    profile = [make_constant("p1", "a", ("a", "b"), domain),
+               make_table("p2", domain, {(0, ()): "b"})]
+    h = PiecewiseHistory.build(domain, ("p1", "p2"), {
+        "p1": [(Interval(0, 0), "a"), (Interval(1, 1), "b")],
+        "p2": [(Interval(0, 1), "b")]})
+    rep = is_consistent(h, profile)
+    assert rep.consistent is False and rep.witness_time == 1
+    assert rep.diagnosis == "player p1 plays 'b' at 1, strategy requires 'a'"
 
 
 def test_chain_consistency_matches_rule():

@@ -9,9 +9,10 @@ payoff block.  For each spec it checks that:
 - a unique solve is consistent, and on a dense domain passes verify_unique;
 - on a chain, solve_chain equals the one survivor of oracle_enumerate and
   a naive reference that builds each prefix from scratch and asks
-  Strategy.respond.  The solver and the oracle ask table strategies
-  through chain_respond, so the reference also checks respond's encoding
-  of the prefix against them;
+  Strategy.respond.  The solver and the oracle ask on the engine's
+  snapshots, whose action tuples are a view of the engine's own list; the
+  reference's prefixes carry none, so strategies read them off the pieces,
+  and the comparison checks the snapshots against a plain encoding;
 - no_trace, zeno and budget outcomes carry no history;
 - `totime solve --out` followed by `totime payoff --tol` gives an
   enclosure no wider than the tolerance.

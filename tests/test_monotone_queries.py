@@ -16,6 +16,7 @@ come back unnoticed.
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,7 @@ from totime.errors import MissingWitnessError
 from totime.gamespec import build_profile, parse_spec
 from totime.histories import (
     HistoryPrefix,
+    PiecesView,
     PiecewiseHistory,
     _append_piece,
     empty_prefix,
@@ -54,6 +56,9 @@ from totime.solver import (
     UNIQUE,
     ZENO,
     SolveResult,
+    _chain_responses,
+    _chain_step,
+    seq_to_prefix,
     solve_chain,
     solve_dense,
     verify_unique,
@@ -74,28 +79,80 @@ from totime.timeorder import DenseInterval, FiniteChain, Interval
 
 QUOTED = ("C", "D", "'", '"', "\\", "\n", "é", "it's", 'a"b', "a'b\"c")
 ACTION_TUPLES = st.tuples(st.sampled_from(QUOTED), st.sampled_from(QUOTED))
-# tuples of non-strings: equal to others whose repr differs (1 == True)
-ODD_ITEMS = st.tuples(st.sampled_from([0, 1, True, False, 1.0]))
-ITEMS = st.one_of(ACTION_TUPLES, ACTION_TUPLES, ACTION_TUPLES, ODD_ITEMS)
+# tuples of non-strings, equal to others whose repr differs (1 == True):
+# only an engine list holds them, as a strategy may answer with any value
+ODD = st.sampled_from([0, 1, True, False, 1.0])
+ITEMS = st.one_of(ACTION_TUPLES, ACTION_TUPLES, ACTION_TUPLES, st.tuples(ODD, ODD))
+PAYLOAD_CHAIN = FiniteChain(64)
+PAYLOAD_PLAYERS = ("p1", "p2")
 
 
 @st.composite
-def call_sequences(draw):
-    """(t, seq) queries that extend, repeat, shrink, jump, restart or pass a list."""
-    calls, seq = [], ()
+def query_ops(draw):
+    """Queries that walk an engine list forward, repeat, go back, restart on
+    a new list, jump to a new filled list, or ask a library prefix."""
+    ops = []
     for _ in range(draw(st.integers(1, 25))):
         op = draw(st.sampled_from(
-            ["extend"] * 5 + ["repeat", "shrink", "jump", "restart", "list"]))
-        if op == "extend":
-            seq = seq + (draw(ITEMS),)
-        elif op == "shrink":
-            seq = seq[:draw(st.integers(0, len(seq)))]
+            ["step"] * 5 + ["repeat", "back", "restart", "jump", "library"]))
+        if op == "step":
+            ops.append((op, draw(ITEMS)))
+        elif op == "back":
+            ops.append((op, draw(st.integers(0, 30))))  # clipped to the list
         elif op == "jump":
-            seq = tuple(draw(st.lists(ITEMS, max_size=5)))
-        elif op == "restart":
-            seq = ()
-        calls.append((len(seq), list(seq) if op == "list" else seq))
-    return calls
+            ops.append((op, draw(st.lists(ITEMS, max_size=5))))
+        elif op == "library":
+            ops.append((op, draw(st.lists(ACTION_TUPLES, max_size=5))))
+        else:
+            ops.append((op,))
+    return ops
+
+
+def run_queries(strategy, ops):
+    """Ask the strategy as `ops` say; returns the (t, action tuples) and the
+    answer of each query.
+
+    A forward query goes through the solver's own `_chain_responses` on an
+    engine list; a query that goes back takes a snapshot of the same list
+    at an earlier length; a library prefix comes from seq_to_prefix and
+    carries no list.
+    """
+    domain, players = PAYLOAD_CHAIN, PAYLOAD_PLAYERS
+    lst, per = [], [[], []]
+    calls, answers = [], []
+
+    def extend(item):
+        _chain_step(per, len(lst), item)
+        lst.append(item)
+
+    def ask(t, seq, pfx):
+        calls.append((t, seq))
+        answers.append(strategy.respond(t, pfx).action)
+
+    def forward():
+        calls.append((len(lst), tuple(lst)))
+        answers.append(next(_chain_responses([strategy], len(lst), lst, per,
+                                             domain, players)))
+
+    for op, *arg in ops:
+        if op == "step":
+            extend(arg[0])
+            forward()
+        elif op == "repeat":
+            forward()
+        elif op == "back":
+            k = min(arg[0], len(lst))
+            pfx = replace(seq_to_prefix(domain, players, lst, k), actions=PiecesView(lst, k))
+            ask(k, tuple(lst[:k]), pfx)
+        elif op == "library":
+            seq = tuple(arg[0])
+            ask(len(seq), seq, seq_to_prefix(domain, players, seq, len(seq)))
+        else:  # restart or jump: a new engine list
+            lst, per = [], [[], []]
+            for item in arg[0] if op == "jump" else []:
+                extend(item)
+            forward()
+    return calls, answers
 
 
 class PayloadLog:
@@ -109,13 +166,13 @@ class PayloadLog:
         return hashlib.sha256(data)
 
 
-def table_answers(seed, player, calls):
-    strategy = make_random_table(player, FiniteChain(64), ("C", "D", "E"), seed)
+def table_answers(seed, player, ops):
+    strategy = make_random_table(player, PAYLOAD_CHAIN, ("C", "D", "E"), seed)
     log = PayloadLog()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strategies, "hashlib", log)
-        answers = [strategy.chain_respond(t, seq) for t, seq in calls]
-    return log.payloads, answers
+        calls, answers = run_queries(strategy, ops)
+    return calls, log.payloads, answers
 
 
 def plain_answers(seed, player, calls):
@@ -126,23 +183,31 @@ def plain_answers(seed, player, calls):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 10**6), st.sampled_from(["p1", "it's", 'q"']), call_sequences())
-def test_table_payload_equals_plain_repr(seed, player, calls):
-    assert table_answers(seed, player, calls) == plain_answers(seed, player, calls)
+@given(st.integers(0, 10**6), st.sampled_from(["p1", "it's", 'q"']), query_ops())
+def test_table_payload_equals_plain_repr(seed, player, ops):
+    calls, payloads, answers = table_answers(seed, player, ops)
+    assert (payloads, answers) == plain_answers(seed, player, calls)
 
 
-@pytest.mark.parametrize("seqs", [
-    [()],
-    [(), (("C",),)],
-    [(("'", '"'),), (("'", '"'), ("\\", "\n"))],
-    [((1,),), ((True,), ("C",))],            # equal to the last prefix, other repr
-    [(("C",),), ((1,), ("C",)), ((True,), ("C",), ("D",))],
-    [(("C",), ("D",)), (("C",),), (("C",), ("C",))],  # shrink, then extend
-    [(("C",),), [("C",), ("D",)], (("C",), ("D",))],  # a list in between
+CC, DD, QQ = ("C", "C"), ("D", "D"), ("'", '"')
+
+
+@pytest.mark.parametrize("seqs", [  # sequences of queries, as query_ops draws them
+    [("restart",)],
+    [("step", CC)],
+    [("step", QQ), ("step", ("\\", "\n"))],
+    # an equal prefix on another list, with another repr
+    [("jump", [(1, 1)]), ("jump", [(True, True)]), ("step", CC)],
+    [("step", (1, 1)), ("restart",), ("step", (True, True)), ("step", CC)],
+    [("step", CC), ("step", DD), ("back", 1), ("step", CC)],  # back, then on
+    [("step", CC), ("step", DD), ("back", 1), ("repeat",)],   # back one, then forward
+    [("step", CC), ("library", [CC, DD]), ("step", DD)],      # a library prefix between
+    [("library", [CC]), ("library", [CC, DD]), ("step", CC)],
+    [("library", [CC]), ("library", [DD, CC])],  # one longer, not an extension
 ])
 def test_table_payload_edge_cases(seqs):
-    calls = [(len(seq), seq) for seq in seqs]
-    assert table_answers(7, "p1", calls) == plain_answers(7, "p1", calls)
+    calls, payloads, answers = table_answers(7, "p1", seqs)
+    assert (payloads, answers) == plain_answers(7, "p1", calls)
 
 
 def table_table_spec(n: int) -> dict:

@@ -46,22 +46,16 @@ def old_oracle_enumerate(profile, pfx, alphabets, limit=10**7):
     space = len(tuples) ** n_times
     if space > limit:
         raise SearchSpaceTooLargeError(f"search space {space} exceeds limit {limit}")
-    base = encode_chain_prefix(pfx)
-    evals = [
-        (strategy.chain_respond
-         if strategy.chain_respond is not None
-         else (lambda s, seq, _st=strategy: _st.respond(
-             s, seq_to_prefix(domain, players, seq, s)).action))
-        for strategy in profile
-    ]
-    n_players = len(players)
+    base = tuple(encode_chain_prefix(pfx))
     memo: dict = {}
 
     def forced(s, seq):
+        # every prefix is rebuilt afresh, independent of the engine's snapshots
         key = (s, seq)
         v = memo.get(key)
         if v is None:
-            v = tuple(evals[i](s, seq) for i in range(n_players))
+            p = seq_to_prefix(domain, players, seq, s)
+            v = tuple(strategy.respond(s, p).action for strategy in profile)
             memo[key] = v
         return v
 
@@ -89,29 +83,23 @@ def old_oracle_enumerate(profile, pfx, alphabets, limit=10**7):
 # -- generated chain games ------------------------------------------------------
 
 
-def rule_strategy(player, alphabet, salt, chain_fast_path):
-    """A strategy that reads the whole visible prefix; without the chain
-    fast path the oracle queries it on a prefix built by seq_to_prefix."""
-
-    def chain_respond(t, seq):
-        seen = sum(a == alphabet[0] for tup in seq for a in tup)
-        return alphabet[(salt + t + seen) % len(alphabet)]
+def rule_strategy(player, alphabet, salt):
+    """A strategy that reads the whole visible prefix as action tuples."""
 
     def respond(t, p):
-        return Response(chain_respond(t, encode_chain_prefix(p)), None)
+        seen = sum(a == alphabet[0] for tup in encode_chain_prefix(p) for a in tup)
+        return Response(alphabet[(salt + t + seen) % len(alphabet)], None)
 
-    return Strategy(player, respond, name="rule",
-                    chain_respond=chain_respond if chain_fast_path else None)
+    return Strategy(player, respond, name="rule")
 
 
 def stray_strategy(player, alphabet, at):
     """Plays inside its alphabet except at time `at`, where it answers 'z'."""
 
-    def chain_respond(t, seq):
-        return "z" if t == at else alphabet[0]
+    def respond(t, p):
+        return Response("z" if t == at else alphabet[0], None)
 
-    return Strategy(player, lambda t, p: Response(chain_respond(t, ()), None),
-                    name="stray", chain_respond=chain_respond)
+    return Strategy(player, respond, name="stray")
 
 
 @st.composite
@@ -125,7 +113,7 @@ def chain_games(draw):
     for i, p in enumerate(players):
         alpha = alphabets[p]
         kind = draw(st.sampled_from(
-            ["constant", "grim", "table", "scripted", "rule", "rule-respond", "stray"]))
+            ["constant", "grim", "table", "scripted", "rule", "stray"]))
         if kind == "grim" and len(alpha) > 1:
             profile.append(make_grim_trigger(p, alpha[0], alpha[1],
                                              draw(st.integers(1, 3)), alpha, domain))
@@ -134,9 +122,8 @@ def chain_games(draw):
         elif kind == "scripted":
             script = [(to.singleton(t), draw(st.sampled_from(alpha))) for t in range(n)]
             profile.append(make_scripted(p, domain, script))
-        elif kind.startswith("rule"):
-            profile.append(rule_strategy(p, alpha, draw(st.integers(0, 5)),
-                                         kind == "rule"))
+        elif kind == "rule":
+            profile.append(rule_strategy(p, alpha, draw(st.integers(0, 5))))
         elif kind == "stray":
             stray_at = draw(st.integers(0, n - 1))
             profile.append(stray_strategy(p, alpha, stray_at))

@@ -21,6 +21,7 @@ from totime.solver import (
 from totime.strategies import (
     Strategy,
     Response,
+    encode_chain_prefix,
     make_constant,
     make_gallery,
     make_grim_trigger,
@@ -36,16 +37,10 @@ UNIT = DenseInterval(0, 1)
 def rule_strategy(player, idx, rule):
     """Chain strategy computed from the full visible prefix."""
 
-    def chain_respond(t, seq):
-        return rule(t, seq)
-
     def respond(t, p):
-        from totime.strategies import encode_chain_prefix
+        return Response(rule(t, encode_chain_prefix(p)), None)
 
-        return Response(chain_respond(t, encode_chain_prefix(p)), None)
-
-    return Strategy(player, respond, name="rule",
-                    chain_respond=chain_respond)
+    return Strategy(player, respond, name="rule")
 
 
 def test_solve_chain_constant_profile():

@@ -99,12 +99,20 @@ def test_grim_custom_triggers():
     assert s.respond(Fraction(1, 2), p).action == "C"  # D is not a trigger here
 
 
+def chain_pick(strategy, seq, domain=CHAIN):
+    """The strategy's action after the action tuples seq, asked on a library prefix."""
+    players = tuple(f"p{i + 1}" for i in range(len(seq[0]) if seq else 1))
+    return strategy.respond(len(seq), seq_to_prefix(domain, players, seq, len(seq))).action
+
+
 def test_table_strategy_and_missing_entry():
     table = {(0, ()): "1", (1, (("1",),)): "0"}
     s = make_table("p1", FiniteChain(2), table)
-    assert s.chain_respond(0, ()) == "1"
-    with pytest.raises(MissingEntryError):
-        s.chain_respond(1, (("0",),))
+    assert chain_pick(s, ()) == "1"
+    assert chain_pick(s, (("1",),)) == "0"
+    with pytest.raises(MissingEntryError) as err:
+        chain_pick(s, (("0",),))
+    assert str(err.value) == "table of p1 missing entry for (1, (('0',),))"
 
 
 def test_random_table_is_deterministic_and_seed_sensitive():
@@ -112,9 +120,9 @@ def test_random_table_is_deterministic_and_seed_sensitive():
     b = make_random_table("p1", CHAIN, ("x", "y", "z"), seed=42)
     c = make_random_table("p1", CHAIN, ("x", "y", "z"), seed=43)
     seqs = [(), (("x",),), (("y",), ("z",))]
-    picks_a = [a.chain_respond(len(s), s) for s in seqs]
-    picks_b = [b.chain_respond(len(s), s) for s in seqs]
-    picks_c = [c.chain_respond(len(s), s) for s in seqs]
+    picks_a = [chain_pick(a, s) for s in seqs]
+    picks_b = [chain_pick(b, s) for s in seqs]
+    picks_c = [chain_pick(c, s) for s in seqs]
     assert picks_a == picks_b
     assert picks_a != picks_c
     assert all(x in ("x", "y", "z") for x in picks_a)
