@@ -27,6 +27,7 @@ from . import timeorder as to
 from .histories import (
     HistoryPrefix,
     Piece,
+    PiecesView,
     PiecewiseHistory,
     _append_piece,
     chain_actions,
@@ -35,7 +36,7 @@ from .histories import (
     prefix as history_prefix,
     prefix_equal,
 )
-from .partitions import change_partition, is_well_ordered
+from .partitions import change_partition
 from .solver import (
     DEFAULT_EVENT_BUDGET,
     NO_TRACE,
@@ -271,7 +272,7 @@ def _extended(pfx: HistoryPrefix, q: TimePoint, tails) -> HistoryPrefix:
         pp = list(pp)
         for iv, a in tail:
             _append_piece(pfx.domain, pp, iv, a)
-        per.append(tuple(pp))
+        per.append(PiecesView(pp))
     return HistoryPrefix(pfx.domain, q, pfx.players, tuple(per))
 
 
@@ -400,17 +401,11 @@ def check_well_orderedness(
     histories: Sequence[PiecewiseHistory],
 ) -> AxiomReport:
     """Axiom 2: the player's change partition from t on is well-ordered, for
-    every history in the sample."""
-    method = EXHAUSTIVE
+    every history in the sample.  A piecewise history's change partition is
+    finite, hence well-ordered; building it validates t and the player."""
     for h in histories:
-        part = change_partition(h, player, t)
-        rep = is_well_ordered(part)
-        if rep.method == "analytic":
-            method = WITNESS_BASED
-        if not rep.well_ordered:
-            return AxiomReport(2, False, method,
-                               witness={"player": player, **(rep.witness or {})})
-    return AxiomReport(2, True, method,
+        change_partition(h, player, t)
+    return AxiomReport(2, True, EXHAUSTIVE,
                        details="piecewise histories induce finite partitions")
 
 

@@ -50,6 +50,12 @@ SOLVE_EXIT = {"unique": 0, "no_trace": 3, "zeno": 4, "budget": 5}
 # a check of axiom 4 on the grim duel at this many samples takes about 8 s
 # (Python 3.11, 2 vCPUs); far more would run until killed
 MAX_SAMPLES = 100_000
+# 4x the default, the budget of verify_unique's re-runs; at this budget a Zeno
+# solve of the halving spec on [-1, 2] takes 0.8 s and 63 MB (Python 3.11,
+# 2 vCPUs).  A dense walk that ends but needs more events than this cannot
+# be solved through the CLI: a grim duel with delta 1/10000 on [-1, 2] takes
+# 30,001 events
+MAX_BUDGET = 4 * DEFAULT_EVENT_BUDGET
 
 
 def _load_json(path: str):
@@ -89,19 +95,21 @@ def _solve(spec, profile, budget):
     return solve_dense(profile, pfx, event_budget=budget)
 
 
-def _count_flag(name: str, text) -> int:
-    """The value of an integer flag that must be at least 1, such as --budget."""
+def _count_flag(name: str, text, most: int) -> int:
+    """The value of an integer flag that must lie in [1, most], such as --budget."""
     try:
         n = int(text)
     except ValueError:  # also past Python's 4,300-digit limit
         raise BadParametersError(f"{name} must be an integer, got {text[:40]!r}") from None
     if n < 1:
         raise BadParametersError(f"{name} must be at least 1, got {n}")
+    if n > most:
+        raise BadParametersError(f"{name} must be at most {most}, got {n}")
     return n
 
 
 def cmd_solve(args) -> int:
-    budget = _count_flag("--budget", args.budget)
+    budget = _count_flag("--budget", args.budget, MAX_BUDGET)
     spec = parse_spec(_load_json(args.spec))
     profile = build_profile(spec, _seed_for(spec, args))
     result = _solve(spec, profile, budget)
@@ -167,9 +175,7 @@ def _axioms_flag(text: str) -> list[int]:
 
 def cmd_check(args) -> int:
     axioms = _axioms_flag(args.axioms)
-    samples = _count_flag("--samples", args.samples)
-    if samples > MAX_SAMPLES:
-        raise BadParametersError(f"--samples must be at most {MAX_SAMPLES}, got {samples}")
+    samples = _count_flag("--samples", args.samples, MAX_SAMPLES)
     spec = parse_spec(_load_json(args.spec))
     seed = _seed_for(spec, args)
     profile = build_profile(spec, seed)

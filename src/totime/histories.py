@@ -7,12 +7,14 @@ whole domain.  Prefixes cover exactly the times strictly below a cut
 right-limit re-queries after instantaneous pieces).
 
 Pieces are sorted, so a lookup bisects over piece starts (a walk forward
-in time passes the last index as a hint and skips the bisect) and a
-prefix copies the pieces wholly below its cut, intersecting only the one
-or two pieces at the cut; the chain solver, checker and oracle extend
-one append-only piece list per player and one of action tuples by a step
-per time instead, and the dense walk hands out O(1) `PiecesView`
-snapshots of its own lists.
+in time passes the last index as a hint and skips the bisect), and a
+prefix takes one bisect per player and copies nothing: each player's
+pieces are an O(1) `PiecesView` of h's own tuple, whose last item is the
+one piece the cut shortens.  The dense walk hands out the same views of
+its own growing lists.  The chain solver, checker and oracle extend one
+append-only piece list per player and one of action tuples by a step per
+time, and copy the pieces into tuples at each time (see
+`solver._chain_responses` for why).
 
 Piece lists grow by one merging append, `_append_piece`, and are checked
 by one linear tiling check, `_tiled`, which `canonical_pieces` runs after
@@ -56,22 +58,25 @@ def _append_piece(domain: TimeDomain, pieces: list, iv: Interval, action: str) -
 
 
 class PiecesView(abc.Sequence):
-    """The first n items of an append-only list (all it holds now by
-    default), as a read-only sequence that is O(1) to take and reads like
-    the tuple of those items: len, truth, iteration, indexing, slicing (to
-    a tuple), == and hash.
+    """The first n items of a piece list or tuple (all it holds now by
+    default), the last of them optionally replaced by `last`, as a
+    read-only sequence that is O(1) to take and reads like the tuple of
+    those items: len, truth, iteration, indexing, slicing (to a tuple), ==,
+    hash and repr.
 
-    The list may grow later, and `_append_piece` may replace its last
+    A walk's list may grow later, and `_append_piece` may replace its last
     piece in place when it merges, so the view keeps its length and holds
-    its last item by value; every earlier slot never changes.
+    its last item by value; every earlier slot never changes.  A library
+    prefix passes the piece its cut shortens as `last`.
     """
 
     __slots__ = ("_pieces", "_n", "_last")
 
-    def __init__(self, pieces: list, n: Optional[int] = None):
+    def __init__(self, pieces: Sequence[Piece], n: Optional[int] = None,
+                 last: Optional[Piece] = None):
         self._pieces = pieces
         self._n = n = len(pieces) if n is None else n
-        self._last = pieces[n - 1] if n else None
+        self._last = pieces[n - 1] if last is None and n else last
 
     def __len__(self) -> int:
         return self._n
@@ -94,6 +99,9 @@ class PiecesView(abc.Sequence):
 
     def __hash__(self) -> int:
         return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def _tiled(domain: TimeDomain, pieces: Sequence[Piece], cover: Interval) -> tuple[Piece, ...]:
@@ -294,11 +302,13 @@ class PiecewiseHistory:
 class HistoryPrefix:
     """The restriction of a history to T_<cut (or T_<=cut when cut_included).
 
-    Each player's pieces are a tuple, or a `PiecesView` in the dense walk's
-    snapshots; the two compare and hash alike.  A chain snapshot made by
-    the engine also carries its action tuples at times below the cut, as a
-    `PiecesView` of the engine's own list, in `actions`: it is left out of
-    ==, hash and repr, and only `strategies.encode_chain_prefix` reads it.
+    Each player's pieces are a `PiecesView` in library prefixes and the
+    dense walk's snapshots, and a tuple in chain snapshots and in prefixes
+    built by hand; the two compare, hash and repr alike.  A chain snapshot
+    made by the engine also carries its action tuples at times below the
+    cut, as a `PiecesView` of the engine's own list, in `actions`: it is
+    left out of ==, hash and repr, and only `strategies.encode_chain_prefix`
+    reads it.
     """
 
     domain: TimeDomain
@@ -332,19 +342,21 @@ def empty_prefix(domain: TimeDomain, players: Sequence[str]) -> HistoryPrefix:
 
 
 def prefix(h: PiecewiseHistory, t: TimePoint, include: bool = False) -> HistoryPrefix:
-    """h restricted to times strictly below t (or <= t when include=True)."""
+    """h restricted to times strictly below t (or <= t when include=True),
+    as one O(1) `PiecesView` of h's own pieces per player."""
     to.require_point(h.domain, t)
     window = to.at_or_before(h.domain, t) if include else to.before(h.domain, t)
-    if window is None:
-        return HistoryPrefix(h.domain, t, h.players, tuple(() for _ in h.players), include)
     per = []
     for pp in h.per_player:
-        # pieces ending below the window's end lie wholly inside it; the one
-        # or two pieces that reach the cut are the only ones intersected
-        k = bisect_left(pp, window.hi, key=lambda p: p[0].hi)
-        ends = [(cut, a) for iv, a in pp[k:k + 2]
-                if (cut := to.intersect(iv, window)) is not None]
-        per.append(pp[:k] + tuple(ends))
+        n, last = 0, None
+        if window is not None:
+            # pieces ending below the window's end lie wholly inside it; of
+            # the one or two that reach the cut, only the last can be cut short
+            n = bisect_left(pp, window.hi, key=lambda p: p[0].hi)
+            for iv, a in pp[n:n + 2]:
+                if (cut := to.intersect(iv, window)) is not None:
+                    n, last = n + 1, (cut, a)
+        per.append(PiecesView(pp, n, last))
     return HistoryPrefix(h.domain, t, h.players, tuple(per), include)
 
 

@@ -158,6 +158,10 @@ def _chain_responses(profile: Sequence[Strategy], s: int, seq: list,
     and an O(1) view of the first s action tuples of the engine's list
     `seq`, which only ever grows at its end.
     """
+    # The pieces are copied into tuples, not viewed: with views grim/grim
+    # solve plus check was 10-20% slower at n = 50-400, since a two-piece
+    # view costs about 5x a tuple to build and 3x to iterate (0.26 and
+    # 0.67 us against 0.05 and 0.22; Python 3.11, 2 vCPUs).
     snapshot = HistoryPrefix(domain, s, players, tuple(map(tuple, per)),
                              actions=PiecesView(seq, s))
     for strategy in profile:

@@ -731,6 +731,22 @@ def test_cli_solve_budget_below_1_exits_2(tmp_path, capsys, budget):
     assert (code, out, err) == (2, "", f"error: --budget must be at least 1, got {budget}\n")
 
 
+@pytest.mark.parametrize("budget", ["16385", "99999999999999999"])
+def test_cli_solve_budget_past_the_cap_exits_2(tmp_path, capsys, within, budget):
+    """A Zeno solve grows its event times by a bit per event, so a budget of
+    10^17 would run until killed; the cap refuses it before the spec is read."""
+    doc = {
+        "domain": {"kind": "dense", "lo": "-1", "hi": "2"},
+        "players": [{"id": "p", "actions": ["a", "b"]}],
+        "strategies": [{"kind": "halving", "player": "p", "cycle": ["a", "b"]}],
+    }
+    spec_path = write_json(tmp_path / "halving.json", doc)
+    want = (2, "", f"error: --budget must be at most {cli.MAX_BUDGET}, got {budget}\n")
+    for path in (spec_path, str(tmp_path / "missing.json")):
+        assert within(5, run_cli, capsys, ["solve", path, f"--budget={budget}"]) == want
+    assert cli.MAX_BUDGET == 16384
+
+
 def test_cli_bad_spec_exits_2(tmp_path, capsys):
     bad = chain_spec_dict()
     bad["strategies"][0]["action"] = "X"

@@ -9,7 +9,8 @@ integer pass, and change times are the sorted set of every piece bound.
 `old_canonical_pieces` (the sorting history builder with its own check
 and merge loops) is the oracle of the one linear tiling check that
 `canonical_pieces` and the walks' finish share.  The prefix guards count
-calls, not time, so the quadratic rebuild cannot come back unnoticed; the
+calls, not time, and require library prefixes to view the history's own
+pieces, so the quadratic rebuild cannot come back unnoticed; the
 payoff guards cap time on long chains and many dyadic points, and refuse
 any hash of a time point.  The dense walk's snapshots
 are checked against the tuples they replace and against the finished
@@ -432,6 +433,27 @@ def test_prefix_intersects_only_the_pieces_at_the_cut(monkeypatch):
         calls.clear()
         assert prefix(h, *case) == want[case]
         assert len(calls) <= 2 * len(h.players)
+
+
+def test_prefix_views_the_history_s_own_pieces():
+    """A prefix copies no piece: at a cut inside a piece, at a piece
+    boundary and at an instant, both ways, and at both ends of the domain,
+    each player's pieces are a view of h's own tuple that equals, hashes
+    and reprs like the intersection of every piece with the window."""
+    k, mid = 12_800, 6_400
+    domain = DenseInterval(-1, 2)
+    x = [-1 + Fraction(3 * j, k) for j in range(k + 1)]
+    pieces = [(Interval(x[j], x[j + 1], j != mid, j == k - 1), "ab"[j % 2]) for j in range(k)]
+    pieces.append((Interval(x[mid], x[mid]), "c"))
+    h = PiecewiseHistory.build(domain, ("p1", "p2"),
+                               {"p1": pieces, "p2": [(Interval(-1, 2), "a")]})
+    assert len(h.per_player[0]) == k + 1
+    for t in (x[100] + Fraction(1, 3 * k), x[200], x[mid], x[0], x[k]):
+        for include in (False, True):
+            got, want = prefix(h, t, include), prefix_by_definition(h, t, include)
+            for pp, own in zip(got.per_player, h.per_player):
+                assert type(pp) is histories.PiecesView and pp._pieces is own
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
 
 
 # -- the walk's finish ---------------------------------------------------------

@@ -250,8 +250,9 @@ def test_mutated_meet_partitions_exit_0_or_2(tmp_path_factory, within, texts):
 
 # Each flag is mutated on commands that read it; the files are bases above.
 # Positive --budget and --samples values stay at or below 64, so that no
-# case starts a long walk, except --samples values past cli.MAX_SAMPLES,
-# which are refused before any check starts.
+# case starts a long walk, except values past the flag's cap, which are
+# refused before any work starts.
+CAPS = {"--budget": cli.MAX_BUDGET, "--samples": cli.MAX_SAMPLES}
 FLAG_RUNS = {
     "--budget": [("solve", BASES[4]), ("solve", BASES[3])],
     "--samples": [("check", BASES[3]), ("check", BASES[0])],
@@ -262,7 +263,8 @@ FLAG_RUNS = {
 VERDICT_EXITS = {"solve": range(6), "check": range(3), "payoff": range(1)}
 HUGE = ["9" * 5000, "1" + "0" * 4400]
 COUNT_BODIES = ["0", "00", "007", "1_0", "\u0663", "1e1", "1.5", "1/2", "0x10", "nan",
-                "inf", "x", "", " ", str(cli.MAX_SAMPLES + 1), "1000000000000", *HUGE]
+                "inf", "x", "", " ", str(cli.MAX_BUDGET + 1), str(cli.MAX_SAMPLES + 1),
+                "1000000000000", *HUGE]
 TOL_BODIES = ["1e-9", "1/1000", "0.001", "1e-4299", "1e-5000", "1e4299", "1e5000", "0",
               "1/0", "1/" + "9" * 5000, "0." + "0" * 4298 + "1", "abc", "nan", "", *HUGE]
 AXIOM_ITEMS = ["1", "2", "3", "4", "5", "0", "6", "-1", "+2", " 3 ", "x", "", "05", "1.0",
@@ -288,7 +290,7 @@ def mutated_flags(draw):
                 + draw(st.sampled_from(["", "", ",", " ", "x", "0"])))
         if flag != "--tol":
             n = _int_or_none(text)
-            assume(n is None or n <= 64 or (flag == "--samples" and n > cli.MAX_SAMPLES))
+            assume(n is None or n <= 64 or n > CAPS[flag])
     # --flag=text, or text as its own argument, which the parser refuses
     # when it looks like an option, such as "-1,1"
     argv = draw(st.sampled_from([[f"{flag}={text}"], [flag, text]]))
@@ -307,9 +309,9 @@ def _flag_exits(base, flag, text, argv, run):
         assert code in VERDICT_EXITS[command], (code, err)
         assert not any(line.startswith("error:") for line in err.splitlines()), err
         json.loads(out)
-    if flag in ("--budget", "--samples"):
+    if flag in CAPS:
         n = _int_or_none(text)
-        refused = n is None or n < 1 or (flag == "--samples" and n > cli.MAX_SAMPLES)
+        refused = n is None or n < 1 or n > CAPS[flag]
         assert (out == "") == refused, (text, code, err)
     elif flag == "--axioms":
         items = [_int_or_none(a) for a in text.split(",") if a.strip()]
