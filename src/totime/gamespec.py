@@ -47,6 +47,12 @@ KEY_SEPARATORS = ",;|"
 
 Maker = Callable[[int], Strategy]  # seed -> a player's strategy
 
+# Every chain path steps through every time, so a chain's size bounds all
+# work on it.  Through the CLI, a two-player constant chain of this many
+# times takes about 1 s to solve and 5 s for its exact payoff (Python 3.11,
+# 2 vCPUs).
+MAX_CHAIN_SIZE = 100_000
+
 
 @dataclass(frozen=True)
 class GameSpec:
@@ -73,6 +79,8 @@ def _parse_domain(obj, path: str) -> TimeDomain:
         size = obj.get("size")
         _expect(type(size) is int and size > 0, f"{path}.size",
                 "chain size must be a positive integer")
+        _expect(size <= MAX_CHAIN_SIZE, f"{path}.size",
+                f"chain size must be at most {MAX_CHAIN_SIZE}, got {size}")
         return FiniteChain(size)
     if kind == "dense":
         lo = to.parse_rational(obj.get("lo"), f"{path}.lo")

@@ -19,6 +19,10 @@ time, and copy the pieces into tuples at each time (see
 Piece lists grow by one merging append, `_append_piece`, and are checked
 by one linear tiling check, `_tiled`, which `canonical_pieces` runs after
 its sort and `PiecewiseHistory.from_walk` on the pieces a walk leaves.
+
+The engine builds its snapshots with `_snapshot`, a trusted constructor of
+`HistoryPrefix` in the idiom of `timeorder._interval`: no dataclass
+`__init__`, and the same fields, ==, hash and repr.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .errors import (
     SchemaError,
 )
 from . import timeorder as to
-from .timeorder import Interval, TimeDomain, TimePoint
+from .timeorder import Interval, TimeDomain, TimePoint, _interval, _new, _set
 
 Piece = tuple[Interval, str]
 
@@ -51,7 +55,7 @@ def _append_piece(domain: TimeDomain, pieces: list, iv: Interval, action: str) -
     if pieces:
         prev_iv, prev_action = pieces[-1]
         if prev_action == action and to.abuts(domain, prev_iv, iv):
-            pieces[-1] = (Interval(prev_iv.lo, iv.hi, prev_iv.lo_closed, iv.hi_closed),
+            pieces[-1] = (_interval(prev_iv.lo, iv.hi, prev_iv.lo_closed, iv.hi_closed),
                           action)
             return
     pieces.append((iv, action))
@@ -337,6 +341,21 @@ class HistoryPrefix:
         return tuple(eval_pieces(pp, t) for pp in self.per_player)
 
 
+def _snapshot(domain: TimeDomain, cut: TimePoint, players: tuple[str, ...],
+              per_player: tuple[Sequence[Piece], ...], cut_included: bool = False,
+              actions: Optional[Sequence[tuple]] = None) -> HistoryPrefix:
+    """HistoryPrefix(domain, cut, players, per_player, cut_included, actions)
+    without the dataclass __init__, for the engine's own snapshots."""
+    p = _new(HistoryPrefix)
+    _set(p, "domain", domain)
+    _set(p, "cut", cut)
+    _set(p, "players", players)
+    _set(p, "per_player", per_player)
+    _set(p, "cut_included", cut_included)
+    _set(p, "actions", actions)
+    return p
+
+
 def empty_prefix(domain: TimeDomain, players: Sequence[str]) -> HistoryPrefix:
     return HistoryPrefix(domain, domain.min, tuple(players), tuple(() for _ in players))
 
@@ -357,7 +376,7 @@ def prefix(h: PiecewiseHistory, t: TimePoint, include: bool = False) -> HistoryP
                 if (cut := to.intersect(iv, window)) is not None:
                     n, last = n + 1, (cut, a)
         per.append(PiecesView(pp, n, last))
-    return HistoryPrefix(h.domain, t, h.players, tuple(per), include)
+    return _snapshot(h.domain, t, h.players, tuple(per), include)
 
 
 def prefix_equal(p: HistoryPrefix, q: HistoryPrefix) -> bool:

@@ -38,6 +38,7 @@ from .histories import (
     PiecesView,
     PiecewiseHistory,
     _append_piece,
+    _snapshot,
     splice,
 )
 from .strategies import Strategy, encode_chain_prefix
@@ -136,7 +137,7 @@ def _chain_step(per: Sequence[list], s: int, actions: tuple) -> None:
     """Append chain time s to per-player piece lists that end at s - 1."""
     for pieces, a in zip(per, actions):
         if pieces and pieces[-1][1] == a:
-            pieces[-1] = (Interval(pieces[-1][0].lo, s), a)
+            pieces[-1] = (to._interval(pieces[-1][0].lo, s, True, True), a)
         else:
             pieces.append((to.singleton(s), a))
 
@@ -162,8 +163,8 @@ def _chain_responses(profile: Sequence[Strategy], s: int, seq: list,
     # solve plus check was 10-20% slower at n = 50-400, since a two-piece
     # view costs about 5x a tuple to build and 3x to iterate (0.26 and
     # 0.67 us against 0.05 and 0.22; Python 3.11, 2 vCPUs).
-    snapshot = HistoryPrefix(domain, s, players, tuple(map(tuple, per)),
-                             actions=PiecesView(seq, s))
+    snapshot = _snapshot(domain, s, players, tuple(map(tuple, per)),
+                         actions=PiecesView(seq, s))
     for strategy in profile:
         yield strategy.respond(s, snapshot).action
 
@@ -205,7 +206,7 @@ def _walk(pfx: HistoryPrefix, step, close):
     Only equality is tested on r: an ordering comparison of Zeno event
     times, whose denominators grow to 2^budget, costs far more.
     """
-    domain, players = pfx.domain, pfx.players
+    domain, players, top = pfx.domain, pfx.players, pfx.domain.top
     pieces = [list(pp) for pp in pfx.per_player]
     c = pfx.cut
 
@@ -214,15 +215,15 @@ def _walk(pfx: HistoryPrefix, step, close):
             _append_piece(domain, pp, iv, a)
 
     def read(included: bool):
-        return step(c, HistoryPrefix(domain, c, players, tuple(map(PiecesView, pieces)),
-                                     included))
+        return step(c, _snapshot(domain, c, players, tuple(map(PiecesView, pieces)),
+                                 included))
 
     while True:
         out = read(False)
         if type(out) is not tuple:
             return out
         actions, r = out
-        if c == domain.top:
+        if c == top:
             commit(to.singleton(c), actions)
             return close(pieces)
         closed = r != c
@@ -282,24 +283,28 @@ def solve_dense(
         # event times rise strictly below top, so any limit lies in (c, top]
         return stop(ZENO, diagnosis, accumulation_bounds=(c, top))
 
+    asks = [(i, profile[i].respond) for i in idx]
+
     def step(c: TimePoint, p: HistoryPrefix):
         right = p.cut_included
         if not right and len(events) >= event_budget:
             return over_budget(c)
         actions: list = [None] * n
         holds: list = [None] * n
-        for i in idx:
-            res = profile[i].respond(c, p)
-            if res.hold_until is None:
+        for i, respond in asks:
+            res = respond(c, p)
+            hold = res.hold_until
+            if hold is None:
                 raise MissingWitnessError(
                     f"strategy of {players[i]} returned no hold at {c}"
                 )
             actions[i] = res.action
-            holds[i] = min(res.hold_until, top)
+            holds[i] = top if top < hold else hold  # min(hold, top)
         actions, holds = tuple(actions), tuple(holds)
         events.append((c, "after" if right else "at", actions, holds))
-        if not right and len(events) > 1:
-            _, _, prev_actions, prev_holds = events[-2]  # the last stretch's query
+        # only an action that changed since the last stretch's query can break its hold
+        if not right and len(events) > 1 and actions != events[-2][2]:
+            _, _, prev_actions, prev_holds = events[-2]
             for i in range(n):
                 # equality first: a hold that ended exactly at c has expired
                 if actions[i] != prev_actions[i] and prev_holds[i] != c \

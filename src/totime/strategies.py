@@ -154,10 +154,12 @@ def make_grim_trigger(
         tau = _first_trigger(p, player, is_trigger)
         return None if tau is None else tau + delta
 
+    punished = Response(punish, None if chain else top)
+
     def respond(t: TimePoint, p: HistoryPrefix) -> Response:
         start = punish_start(p)
         if start is not None and start <= t:
-            return Response(punish, None if chain else top)
+            return punished
         if start is not None:
             return Response(cooperate, None if chain else min(start, top))
         return Response(cooperate, None if chain else min(t + delta, top))
@@ -255,15 +257,19 @@ def make_scripted(
     deviations.  Supplies exact hold-witnesses (the end of the current
     constant run), including right-limit queries after singleton pieces.
     """
-    if not to.is_chain(domain):  # library callers may pass int or Fraction ends
+    chain = to.is_chain(domain)
+    if not chain:  # library callers may pass int or Fraction ends
         pieces = [(to.make_interval(domain, iv.lo, iv.hi, iv.lo_closed, iv.hi_closed), a)
                   for iv, a in pieces]
     script = tuple(sorted(pieces, key=lambda p: to._sort_key(p[0])))
+    # a dense query in a piece, or just after an instant before it, holds to
+    # the piece's end (an instant's end is the query time itself)
+    answers = tuple(Response(a, iv.hi) for iv, a in script)
     hint = 0  # index of the last piece answered, a cursor for forward walks
 
     def respond(t: TimePoint, p: HistoryPrefix) -> Response:
         nonlocal hint
-        if to.is_chain(domain):
+        if chain:
             return Response(eval_pieces(script, t), None)
         if p.cut_included and p.cut == t:
             # right-limit query: the action on a small open interval (t, r)
@@ -271,14 +277,12 @@ def make_scripted(
             if k is None:
                 raise MissingEntryError(f"script of {player} has nothing after {t}")
             hint = k
-            iv, action = script[k]
-            return Response(action, iv.hi)
+            return answers[k]
         k = index_at(script, t, hint)
         if k is None:
             raise MissingEntryError(f"script of {player} undefined at {t}")
         hint = k
-        iv, action = script[k]
-        return Response(action, t if iv.hi == t else iv.hi)
+        return answers[k]
 
     return Strategy(
         player,

@@ -14,6 +14,11 @@ compare points.  Every dense point is made a ``Point`` where it enters
 the engine (``point_from_json``, ``DenseInterval``, ``make_interval`` and
 the strategy constructors), so callers may still pass ``int`` or ``Fraction``.
 
+``_point`` and ``_interval`` are trusted constructors for hot paths: they
+build a ``Point`` or an ``Interval`` from parts the caller has just shown
+valid (coprime terms; a nonempty interval) without normalising or
+validating.  The public ``Interval(...)`` always validates.
+
 ``parse_rational`` is the one reader of exact rational literals in spec,
 history and partition documents and on the command line.
 
@@ -40,6 +45,7 @@ from .errors import EmptySetError, PointNotInDomainError, SchemaError
 
 
 _new = object.__new__
+_set = object.__setattr__
 
 
 def _point(n: int, d: int) -> "Point":
@@ -374,6 +380,19 @@ class Interval:
         }
 
 
+def _interval(lo: TimePoint, hi: TimePoint, lo_closed: bool, hi_closed: bool) -> Interval:
+    """The Interval of these fields without __init__ or __post_init__, for
+    callers that have just shown it nonempty; equal, hashed, printed and
+    pickled like Interval(lo, hi, lo_closed, hi_closed).  Setting the
+    fields one by one keeps the compact instance dict of Interval(...)."""
+    iv = _new(Interval)
+    _set(iv, "lo", lo)
+    _set(iv, "hi", hi)
+    _set(iv, "lo_closed", lo_closed)
+    _set(iv, "hi_closed", hi_closed)
+    return iv
+
+
 def point_from_json(obj: dict, key: str, domain: TimeDomain, path: str) -> TimePoint:
     """obj[key] as a point of the domain; a missing or malformed one raises
     SchemaError naming `path`, the key's place in the document."""
@@ -416,20 +435,20 @@ def make_interval(
             hi, hi_closed = hi - 1, True
         if lo > hi:
             return None
-        return Interval(int(lo), int(hi), True, True)
+        return _interval(int(lo), int(hi), True, True)
     lo = as_point(lo)
     hi = as_point(hi)
     if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
         return None
-    return Interval(lo, hi, lo_closed, hi_closed)
+    return _interval(lo, hi, lo_closed, hi_closed)
 
 
 def full_interval(domain: TimeDomain) -> Interval:
-    return Interval(domain.min, domain.top, True, True)
+    return _interval(domain.min, domain.top, True, True)
 
 
 def singleton(t: TimePoint) -> Interval:
-    return Interval(t, t, True, True)
+    return _interval(t, t, True, True)
 
 
 def before(domain: TimeDomain, t: TimePoint) -> Optional[Interval]:
@@ -466,7 +485,7 @@ def intersect(a: Interval, b: Interval) -> Optional[Interval]:
         hi, hi_closed = a.hi, a.hi_closed and b.hi_closed
     if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
         return None
-    return Interval(lo, hi, lo_closed, hi_closed)
+    return _interval(lo, hi, lo_closed, hi_closed)
 
 
 def overlaps(xs: Sequence[Interval], ys: Sequence[Interval]) -> Iterator[tuple[int, int, Interval]]:
@@ -500,7 +519,7 @@ def strictly_precedes(a: Interval, b: Interval) -> bool:
 
 def abuts(domain: TimeDomain, a: Interval, b: Interval) -> bool:
     """True iff a ends exactly where b begins: disjoint with no gap."""
-    if is_chain(domain):
+    if isinstance(domain, FiniteChain):  # is_chain, inline: a merge asks at every event
         return a.hi + 1 == b.lo
     return a.hi == b.lo and (a.hi_closed != b.lo_closed)
 
@@ -527,9 +546,9 @@ def _try_union(domain: TimeDomain, a: Interval, b: Interval) -> Optional[Interva
     joined after one equality test and no ordering comparison.
     """
     if abuts(domain, a, b):
-        return Interval(a.lo, b.hi, a.lo_closed, b.hi_closed)
+        return _interval(a.lo, b.hi, a.lo_closed, b.hi_closed)
     if abuts(domain, b, a):
-        return Interval(b.lo, a.hi, b.lo_closed, a.hi_closed)
+        return _interval(b.lo, a.hi, b.lo_closed, a.hi_closed)
     if strictly_precedes(a, b) or strictly_precedes(b, a):
         return None
     if a.lo < b.lo or (a.lo == b.lo and a.lo_closed):
@@ -540,7 +559,7 @@ def _try_union(domain: TimeDomain, a: Interval, b: Interval) -> Optional[Interva
         hi, hi_closed = a.hi, a.hi_closed or (a.hi == b.hi and b.hi_closed)
     else:
         hi, hi_closed = b.hi, b.hi_closed
-    return Interval(lo, hi, lo_closed, hi_closed)
+    return _interval(lo, hi, lo_closed, hi_closed)
 
 
 @dataclass(frozen=True)

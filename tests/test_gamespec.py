@@ -13,6 +13,7 @@ from totime import timeorder as to
 from totime.axioms import check_inertiality
 from totime.errors import AlphabetMismatchError, BadParametersError, SchemaError
 from totime.gamespec import (
+    MAX_CHAIN_SIZE,
     build_profile,
     evaluate_payoff,
     exp_neg_enclosure,
@@ -584,6 +585,23 @@ def test_cli_spec_value_read_once_exits_2(tmp_path, capsys, within, make, path, 
     code, out, err = within(1, run_cli, capsys, [command, str(spec_path)])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("size", [MAX_CHAIN_SIZE + 1, 10**12])
+@pytest.mark.parametrize("command", ["spec", "solve", "check", "oracle", "payoff"])
+def test_cli_refuses_a_chain_past_the_cap(tmp_path, capsys, within, size, command):
+    """Every chain path steps through every time, so a chain longer than
+    MAX_CHAIN_SIZE exits 2 before any work starts, through every command
+    that reads a spec; one of MAX_CHAIN_SIZE times is read."""
+    doc = chain_grim_spec_dict()
+    doc["domain"]["size"] = MAX_CHAIN_SIZE
+    assert parse_spec(doc).domain == FiniteChain(MAX_CHAIN_SIZE)
+    doc["domain"]["size"] = size
+    spec_path = write_json(tmp_path / "spec.json", doc)
+    hist = [write_json(tmp_path / "hist.json", {})] if command == "payoff" else []
+    code, out, err = within(1, run_cli, capsys, [command, spec_path, *hist])
+    assert (code, out) == (2, "")
+    assert err == f"error: domain.size: chain size must be at most {MAX_CHAIN_SIZE}, got {size}\n"
 
 
 def test_gallery_strategy_needs_a_positive_top():

@@ -14,11 +14,15 @@ pieces, so the quadratic rebuild cannot come back unnoticed; the
 payoff guards cap time on long chains and many dyadic points, and refuse
 any hash of a time point.  The dense walk's snapshots
 are checked against the tuples they replace and against the finished
-history's prefixes, and must share the walk's own piece lists.
+history's prefixes, and must share the walk's own piece lists.  The
+records built without validation (`timeorder._interval`,
+`histories._snapshot`) must read like validated ones, and a count guard
+keeps the dense walk from validating more than its committed stretches.
 """
 
 import dataclasses
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -641,3 +645,106 @@ def test_chain_snapshots_read_like_library_prefixes(h, seed):
         got = strategies.encode_chain_prefix(p)
         assert type(got) is histories.PiecesView
         assert got == strategies.encode_chain_prefix(want) == tuple(got)
+
+
+# -- trusted records -----------------------------------------------------------
+
+
+def test_dense_walk_validates_only_the_committed_stretches(monkeypatch):
+    """A 512-event grim duel, solved and verified by six jittered re-walks,
+    runs Interval's checks at most once per event (the committed stretch,
+    whose end comes from the step) and builds every snapshot without
+    HistoryPrefix.__init__."""
+    domain, players = DenseInterval(-1, 2), ("p1", "p2")
+    queries: list = []
+    profile = [make_grim_trigger(p, "C", "D", Fraction(3, 511), ("C", "D"), domain)
+               for p in players]
+    profile[0] = recording(profile[0], queries)  # one query per event
+    pfx = empty_prefix(domain, players)
+    checks, inits = [], []
+    post_init, init = Interval.__post_init__, HistoryPrefix.__init__
+    monkeypatch.setattr(Interval, "__post_init__",
+                        lambda self: checks.append(1) or post_init(self))
+    monkeypatch.setattr(HistoryPrefix, "__init__",
+                        lambda self, *a, **k: inits.append(1) or init(self, *a, **k))
+    res = solver.solve_dense(profile, pfx)
+    assert res.events_consumed == 512
+    assert solver.verify_unique(profile, pfx, res)
+    assert len(queries) >= 7 * 512
+    assert len(checks) <= len(queries) + 8
+    assert inits == []
+
+
+def same_record(got, cls):
+    """got equals, hashes, prints, pickles and replaces like cls(...) of its
+    own fields, and has the same instance dict."""
+    want = cls(**{f.name: getattr(got, f.name) for f in dataclasses.fields(cls)})
+    assert type(got) is cls and vars(got) == vars(want)
+    for x in (got, pickle.loads(pickle.dumps(got)), dataclasses.replace(got)):
+        assert type(x) is cls
+        assert x == want and want == x and not x != want
+        assert hash(x) == hash(want) and repr(x) == repr(want)
+
+
+def split_pieces(h: PiecewiseHistory) -> list[list]:
+    """Each player's pieces of h with every long piece cut in two abutting
+    halves, so that appending them in order merges back to h's pieces."""
+    out = []
+    for pp in h.per_player:
+        split = []
+        for iv, a in pp:
+            if iv.is_singleton or (to.is_chain(h.domain) and iv.hi == iv.lo + 1):
+                split.append((iv, a))
+                continue
+            mid = (iv.lo + iv.hi) // 2 if to.is_chain(h.domain) else (iv.lo + iv.hi) / 2
+            split.append((to.make_interval(h.domain, iv.lo, mid, iv.lo_closed, True), a))
+            split.append((to.make_interval(h.domain, mid, iv.hi, False, iv.hi_closed), a))
+        out.append(split)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(dense_histories(), chain_histories()), st.booleans())
+def test_trusted_records_read_like_validated_ones(h, include):
+    """Intervals from `_append_piece`'s merges, `make_interval`, `intersect`
+    and the walks, and the snapshots of `_snapshot` (library prefixes and
+    the walks'), equal, hash, print, pickle and replace like the validated
+    records of the same fields."""
+    for pp, split in zip(h.per_player, split_pieces(h)):
+        merged: list = []
+        for iv, a in split:
+            histories._append_piece(h.domain, merged, iv, a)
+        assert tuple(merged) == pp
+        for iv, _ in merged + split:
+            same_record(iv, Interval)
+    for t in query_points(h):
+        window = to.at_or_before(h.domain, t) if include else to.before(h.domain, t)
+        if window is None:
+            continue
+        same_record(window, Interval)
+        for pp in h.per_player:
+            for iv, _ in pp:
+                cut = to.intersect(iv, window)
+                if cut is not None:
+                    same_record(cut, Interval)
+        same_record(prefix(h, t, include), HistoryPrefix)
+    seen: list = []
+    profile = [recording(make_scripted(p, h.domain, h.pieces_for(p)), seen)
+               for p in h.players]
+    pfx = empty_prefix(h.domain, h.players)
+    solve = solver.solve_chain if to.is_chain(h.domain) else solver.solve_dense
+    res = solve(profile, pfx)
+    assert res.history == h
+    for pp in res.history.per_player:
+        for iv, _ in pp:
+            same_record(iv, Interval)
+    for p, _ in seen:
+        same_record(p, HistoryPrefix)
+
+
+def test_public_interval_still_validates():
+    for lo, hi, lo_closed, hi_closed in [(1, 0, True, True), (0, 0, False, True),
+                                         (0, 0, True, False), (Fraction(1, 2), 0, True, True),
+                                         (to.Point(1, 3), to.Point(1, 3), False, False)]:
+        with pytest.raises(ValueError):
+            Interval(lo, hi, lo_closed, hi_closed)

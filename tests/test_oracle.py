@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from totime import cli
 from totime import timeorder as to
 from totime.errors import SearchSpaceTooLargeError
+from totime.gamespec import MAX_CHAIN_SIZE
 from totime.histories import PiecewiseHistory, empty_prefix, prefix, splice
 from totime.solver import oracle_enumerate, seq_to_prefix, solve_chain
 from totime.strategies import (
@@ -212,13 +213,16 @@ def big_chain_spec(size):
     }
 
 
-@pytest.mark.parametrize("size", [8000, 10**7])
+@pytest.mark.parametrize("size", [8000, MAX_CHAIN_SIZE, 10**7])
 def test_cli_oracle_on_a_huge_space_exits_2(tmp_path, capsys, size, within):
     # 27^8000 has more digits than int-to-str allows; 27^(10^7) takes
-    # seconds to compute at all
+    # seconds to compute at all, and a chain that long is refused before
+    # the oracle starts
     spec_path = tmp_path / "chain.json"
     spec_path.write_text(json.dumps(big_chain_spec(size)))
     assert within(1, cli.main, ["oracle", str(spec_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: search space 27^{size} exceeds limit 10000000\n"
+    assert captured.err == (
+        f"error: search space 27^{size} exceeds limit 10000000\n" if size <= MAX_CHAIN_SIZE
+        else f"error: domain.size: chain size must be at most {MAX_CHAIN_SIZE}, got {size}\n")

@@ -6,8 +6,9 @@ literal or a sibling's value; pad a key with a zero; append a key
 separator.  It checks that `totime spec` exits 0, or exits 2 with exactly
 one `error:` line; that every spec it accepts builds a profile,
 round-trips through spec_to_json and echoes no boolean where an integer
-belongs; and that an accepted chain of at most
-64 times solves with exit 0 to 5.  Payoff history files, meet partition
+belongs; that an accepted chain of at most 64 times solves with exit 0
+to 5; and that a chain longer than `gamespec.MAX_CHAIN_SIZE` exits 2,
+sizes being drawn on both sides of it.  Payoff history files, meet partition
 files and the `--tol`, `--budget`, `--axioms` and `--samples` flags are
 mutated the same way; a flag value is passed as `--flag=value` or as an
 argument of its own, where one that looks like an option is a usage error
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from totime import cli
 from totime import timeorder as to
-from totime.gamespec import build_profile, parse_spec, spec_to_json
+from totime.gamespec import MAX_CHAIN_SIZE, build_profile, parse_spec, spec_to_json
 
 # json.dumps cannot write an integer past Python's 4,300-digit limit, so the
 # mutation writes this marker and the dumped text swaps in the digits
@@ -73,6 +74,7 @@ LITERALS = ["1/0", "nan", "1e5000", "-1e-5000", "1/2", "0", "00", "-1", "2", BIG
 OTHERS = ["1|a", "a,b", "C;D", "", "x", "C", "D", "a", None, True, False, 0, 1, -1, 2, 1.5,
           [], {}, [1, "C"], [["C"]], ["C"], {"0": "a", "00": "b"}]
 OPS = ["drop", "literal", "literal", "other", "sibling", "pad", "separator"]
+CHAIN_SIZES = [MAX_CHAIN_SIZE - 1, MAX_CHAIN_SIZE, MAX_CHAIN_SIZE + 1, 10**12]
 
 
 def _slots(node):
@@ -115,8 +117,21 @@ def _mutate(draw, doc, focus):
 
 @st.composite
 def mutated_specs(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    if doc["domain"]["kind"] == "chain" and draw(st.booleans()):
+        doc["domain"]["size"] = draw(st.sampled_from(CHAIN_SIZES))
     # half the mutations land in the strategy specs, where most checks are
-    return _mutate(draw, copy.deepcopy(draw(st.sampled_from(BASES))), "strategies")
+    return _mutate(draw, doc, "strategies")
+
+
+def _too_long(text) -> bool:
+    """Whether the document declares a chain past MAX_CHAIN_SIZE."""
+    try:
+        domain = json.loads(text).get("domain")
+    except ValueError:  # BIG_INT passes json's 4,300-digit limit
+        return False
+    return (isinstance(domain, dict) and domain.get("kind") == "chain"
+            and type(domain.get("size")) is int and domain["size"] > MAX_CHAIN_SIZE)
 
 
 def _run(argv):
@@ -132,6 +147,7 @@ def _run(argv):
 def _check(text, path):
     path.write_text(text)
     code, out, err = _run(["spec", str(path)])
+    assert code == 2 or not _too_long(text), out
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
         return
