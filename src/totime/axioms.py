@@ -4,8 +4,9 @@
 profile on a target set of times: exhaustively on finite chains, by an
 exact hold-witness walk on dense domains, and by boundary-plus-sample
 probing when some strategy is a black box (reported as method "sampled").
-The dense walk and the traceability probe of black boxes run on the
-solver's event walk, with steps that compare with h or probe spans.
+The chain check runs on the solver's chain walk, and the dense walk and
+the traceability probe of black boxes on its event walk, with steps that
+compare with h or probe spans.
 
 The per-player axiom checkers cover traceability (1), well-ordered change
 (2), initial uniqueness (3), inertiality (4), and frictionality (5).  Each
@@ -41,9 +42,8 @@ from .solver import (
     DEFAULT_EVENT_BUDGET,
     NO_TRACE,
     UNIQUE,
-    _chain_responses,
+    _chain_walk,
     _check_profile,
-    _chain_step,
     _walk,
     solve_chain,
     solve_dense,
@@ -106,14 +106,16 @@ def _rand_fraction(rng: random.Random, denom: int = 2**16) -> Fraction:
 def _chain_consistent(
     profile, h: PiecewiseHistory, t: int, target: IntervalSet
 ) -> ConsistencyReport:
-    domain = h.domain
-    seq = chain_actions(h.per_player, domain.size)
-    per: list[list[Piece]] = [[] for _ in h.players]
+    """Check h from t on the solver's chain walk, which commits h's own
+    action tuples; strategies are asked at the target times."""
+    seq = chain_actions(h.per_player, h.domain.size)
     checked = 0
-    for s in range(domain.size):
-        if s >= t and target.contains(s):
-            wants = _chain_responses(profile, s, seq, per, domain, h.players)
-            for i, want in enumerate(wants):
+
+    def step(s: int, p: HistoryPrefix):
+        nonlocal checked
+        if target.contains(s):
+            for i, strategy in enumerate(profile):
+                want = strategy.respond(s, p).action
                 if seq[s][i] != want:
                     return ConsistencyReport(
                         False, EXHAUSTIVE, target.to_json(), s,
@@ -122,8 +124,10 @@ def _chain_consistent(
                         checked,
                     )
             checked += 1
-        _chain_step(per, s, seq[s])
-    return ConsistencyReport(True, EXHAUSTIVE, target.to_json(), checked=checked)
+        return seq[s]
+
+    return _chain_walk(history_prefix(h, t), step, lambda pieces: ConsistencyReport(
+        True, EXHAUSTIVE, target.to_json(), checked=checked))
 
 
 def _dense_walk(

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Mapping, Optional, Union
 
 from .errors import (
@@ -52,6 +53,15 @@ Maker = Callable[[int], Strategy]  # seed -> a player's strategy
 # times takes about 1 s to solve and 5 s for its exact payoff (Python 3.11,
 # 2 vCPUs).
 MAX_CHAIN_SIZE = 100_000
+
+# An exact chain payoff carries one running sum per player and the power
+# b^t of rho's denominator, each of about (size - 1) * bit length of
+# rho.numerator + rho.denominator bits, and one step per time works on all
+# of them.  Through the CLI, one player at this cap over MAX_CHAIN_SIZE
+# times (rho 1/16) pays off in about 5 s, and two at rho 1/4 (90% of it) in
+# about 4 s (Python 3.11, 2 vCPUs); 1,000 times at rho 1e4000 would take
+# minutes.
+MAX_PAYOFF_BITS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -235,13 +245,11 @@ def parse_spec(text: Union[str, bytes, Mapping]) -> GameSpec:
         _expect(isinstance(table, dict) and table, "payoff.table",
                 "payoff table must be a non-empty object")
         payoff_table = {}
-        import itertools
-
-        required = set(itertools.product(*[alphabets[p] for p in players]))
+        allowed = [set(alphabets[p]) for p in players]
         for key, val in table.items():
             combo = tuple(key.split(","))
-            _expect(combo in required, f"payoff.table[{key!r}]",
-                    "key is not an action tuple of this game")
+            _expect(len(combo) == len(players) and all(a in A for A, a in zip(allowed, combo)),
+                    f"payoff.table[{key!r}]", "key is not an action tuple of this game")
             if isinstance(val, dict):
                 _expect(set(val) == set(players), f"payoff.table[{key!r}]",
                         "per-player values must cover every player")
@@ -252,13 +260,13 @@ def parse_spec(text: Union[str, bytes, Mapping]) -> GameSpec:
             else:
                 u = to.parse_rational(val, f"payoff.table[{key!r}]")
                 payoff_table[combo] = {p: u for p in players}
-        missing = required - set(payoff_table)
+        # the alphabet product is never built: keys are counted against its
+        # size, and the first missing tuple is found by walking it in order
+        missing = math.prod(map(len, allowed)) - len(payoff_table)
         if missing:
-            raise SchemaError(
-                "payoff.table",
-                f"table is missing {len(missing)} action tuples, "
-                f"e.g. {','.join(sorted(missing)[0])!r}",
-            )
+            first = next(c for c in product(*map(sorted, allowed)) if c not in payoff_table)
+            raise SchemaError("payoff.table", f"table is missing {missing} action tuples, "
+                                              f"e.g. {','.join(first)!r}")
 
     seed = obj.get("seed", 0)
     _expect(type(seed) is int and seed >= 0, "seed",
@@ -436,11 +444,15 @@ def evaluate_payoff(
         raise BadParametersError(f"payoff tolerance must be positive, got {tol}")
     rho = spec.rho
     if to.is_chain(spec.domain):
+        size = spec.domain.size
+        bits = (len(spec.players) + 1) * (size - 1) * (rho.numerator + rho.denominator).bit_length()
+        _expect(bits <= MAX_PAYOFF_BITS, "payoff.rho", f"the exact payoff of a chain of size "
+                f"{size} at this rho needs about {bits} bits, more than {MAX_PAYOFF_BITS}")
         # rho = a/b, so rho_hat = b/c with c = a + b; with integer weights
         # w = u * scale, acc_t = acc_{t-1} c + w_t b^t sums w_t b^t c^(n-1-t)
         b = rho.denominator
         c = rho.numerator + b
-        combos = chain_actions(h.per_player, spec.domain.size)
+        combos = chain_actions(h.per_player, size)
         distinct = list(dict.fromkeys(combos))  # each tuple once, in time order
         scale, ws = _integer_weights(spec, [_stage_payoffs(spec, combo) for combo in distinct])
         weights = dict(zip(distinct, ws))

@@ -11,10 +11,10 @@ in time passes the last index as a hint and skips the bisect), and a
 prefix takes one bisect per player and copies nothing: each player's
 pieces are an O(1) `PiecesView` of h's own tuple, whose last item is the
 one piece the cut shortens.  The dense walk hands out the same views of
-its own growing lists.  The chain solver, checker and oracle extend one
-append-only piece list per player and one of action tuples by a step per
-time, and copy the pieces into tuples at each time (see
-`solver._chain_responses` for why).
+its own growing lists.  The chain walk (`solver._chain_walk`, which runs
+the chain solver, checker and oracle) extends one append-only piece list
+per player and one of action tuples by a step per time, and copies the
+pieces into tuples at each time (it says why).
 
 Piece lists grow by one merging append, `_append_piece`, and are checked
 by one linear tiling check, `_tiled`, which `canonical_pieces` runs after
@@ -307,12 +307,11 @@ class HistoryPrefix:
     """The restriction of a history to T_<cut (or T_<=cut when cut_included).
 
     Each player's pieces are a `PiecesView` in library prefixes and the
-    dense walk's snapshots, and a tuple in chain snapshots and in prefixes
-    built by hand; the two compare, hash and repr alike.  A chain snapshot
-    made by the engine also carries its action tuples at times below the
-    cut, as a `PiecesView` of the engine's own list, in `actions`: it is
-    left out of ==, hash and repr, and only `strategies.encode_chain_prefix`
-    reads it.
+    dense walk's snapshots, and a tuple in the chain walk's snapshots and in
+    prefixes built by hand; the two compare, hash and repr alike.  A chain
+    walk's snapshot also carries its action tuples at times below the cut,
+    as a `PiecesView` of the walk's own list, in `actions`: it is left out
+    of ==, hash and repr, and only `strategies.encode_chain_prefix` reads it.
     """
 
     domain: TimeDomain

@@ -2,13 +2,13 @@
 
 On finite chains the solution is plain forward recursion: each time's
 action tuple is determined by the strategy profile applied to the prefix
-built so far.  That prefix is incremental: one append-only list of merged
-pieces per player and one of action tuples grow by one step per time, and
-each time takes a single HistoryPrefix snapshot of them, asked of every
-strategy through `respond`.  The enumeration oracle lists the consistent
-completions by its own forward search, which rejects each block of
-candidates at its first inconsistent time; it grows the same kind of lists
-and asks the same snapshots.
+built so far.  One chain walk, `_chain_walk`, runs the solver, the chain
+consistency check of `axioms` and the enumeration oracle: it grows one
+append-only list of merged pieces per player and one of action tuples by
+a step per time, and each time a caller's step reads one HistoryPrefix
+snapshot of them and returns the action tuple to commit.  The oracle's
+step commits the forced tuple and counts its copies in the alphabet
+product, which it never builds.
 On dense domains one event walk, `_walk`, runs the solver, the
 consistency walk and the traceability probe of `axioms`: at each event
 time a caller's step reads every player's action and the next bound, the
@@ -21,7 +21,7 @@ Both solvers finish through `PiecewiseHistory.from_walk`.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,7 +39,6 @@ from .histories import (
     PiecewiseHistory,
     _append_piece,
     _snapshot,
-    splice,
 )
 from .strategies import Strategy, encode_chain_prefix
 from .timeorder import Interval, TimeDomain, TimePoint
@@ -152,43 +151,53 @@ def seq_to_prefix(
     return HistoryPrefix(domain, cut, tuple(players), tuple(map(tuple, per)))
 
 
-def _chain_responses(profile: Sequence[Strategy], s: int, seq: list,
-                     per: Sequence[list], domain: TimeDomain, players: tuple):
-    """Yield each strategy's action at chain time s, in profile order, all
-    read from one snapshot: the merged pieces of times below s in `per`,
-    and an O(1) view of the first s action tuples of the engine's list
-    `seq`, which only ever grows at its end.
+def _chain_walk(pfx: HistoryPrefix, step, close):
+    """The chain walk from pfx's cut, shared by solve_chain, the chain
+    consistency check and the oracle: the chain twin of `_walk`.
+
+    `step(s, p)` reads the actions at time s from p, one snapshot of the
+    times below s: the merged pieces of one append-only list per player,
+    and an O(1) view of the first s action tuples of the walk's own list,
+    which only ever grows at its end.  It returns the action tuple to commit
+    at s, or anything else to stop the walk with that result.  After the
+    last time the walk returns close(pieces).
     """
-    # The pieces are copied into tuples, not viewed: with views grim/grim
-    # solve plus check was 10-20% slower at n = 50-400, since a two-piece
-    # view costs about 5x a tuple to build and 3x to iterate (0.26 and
-    # 0.67 us against 0.05 and 0.22; Python 3.11, 2 vCPUs).
-    snapshot = _snapshot(domain, s, players, tuple(map(tuple, per)),
-                         actions=PiecesView(seq, s))
-    for strategy in profile:
-        yield strategy.respond(s, snapshot).action
+    if pfx.cut_included:
+        raise ValueError("a chain walk starts from a strict prefix")
+    domain, players = pfx.domain, pfx.players
+    seq = list(encode_chain_prefix(pfx))
+    per = [list(pp) for pp in seq_to_prefix(domain, players, seq, pfx.cut).per_player]
+    for s in range(pfx.cut, domain.size):
+        # The pieces are copied into tuples, not viewed: with views grim/grim
+        # solve plus check was 10-20% slower at n = 50-400, since a two-piece
+        # view costs about 5x a tuple to build and 3x to iterate (0.26 and
+        # 0.67 us against 0.05 and 0.22; Python 3.11, 2 vCPUs).
+        out = step(s, _snapshot(domain, s, players, tuple(map(tuple, per)),
+                                actions=PiecesView(seq, s)))
+        if type(out) is not tuple:
+            return out
+        seq.append(out)
+        _chain_step(per, s, out)
+    return close(per)
 
 
 def solve_chain(profile: Sequence[Strategy], pfx: HistoryPrefix) -> SolveResult:
     """Forward recursion on a finite chain; always yields a unique history."""
-    domain = pfx.domain
-    players = pfx.players
-    _check_profile(profile, players)
-    if pfx.cut_included:
-        raise ValueError("solve_chain starts from a strict prefix")
-    seq = list(encode_chain_prefix(pfx))
-    per: list[list[Piece]] = [[] for _ in players]
-    for s, actions in enumerate(seq):
-        _chain_step(per, s, actions)
+    _check_profile(profile, pfx.players)
+    asks = [strategy.respond for strategy in profile]
+    holds = (None,) * len(asks)
     events = []
-    holds = (None,) * len(players)
-    for s in range(pfx.cut, domain.size):
-        actions = tuple(_chain_responses(profile, s, seq, per, domain, players))
-        seq.append(actions)
-        _chain_step(per, s, actions)
+
+    def step(s: int, p: HistoryPrefix) -> tuple:
+        actions = tuple([respond(s, p).action for respond in asks])
         events.append((s, "at", actions, holds))
-    history = PiecewiseHistory.from_walk(domain, players, per)
-    return SolveResult(UNIQUE, history, events, events_consumed=len(events))
+        return actions
+
+    def close(pieces: list) -> SolveResult:
+        history = PiecewiseHistory.from_walk(pfx.domain, pfx.players, pieces)
+        return SolveResult(UNIQUE, history, events, events_consumed=len(events))
+
+    return _chain_walk(pfx, step, close)
 
 
 def _walk(pfx: HistoryPrefix, step, close):
@@ -347,48 +356,43 @@ def oracle_enumerate(
     alphabets: Mapping[str, Sequence[str]],
     limit: int = 10**7,
 ) -> OracleResult:
-    """Enumerate the consistent completions of a chain prefix by a search of
-    its own, which the tests check against references that rebuild every
-    prefix from scratch.
+    """Enumerate the consistent completions of a chain prefix, as one step
+    of the chain walk; the tests check it against references that rebuild
+    every prefix from scratch.
 
     A strategy answers a prefix with exactly one tuple and consistency is
-    pointwise, so a candidate that differs from the forced tuple at some
-    time fails with every continuation.  The search goes forward in time
-    from the prefix rebuilt by seq_to_prefix, asking each strategy once per
-    time on a snapshot of lists it extends in place; survivors come in
-    itertools.product order.  `limit` bounds the nominal space,
-    len(tuples) ** times left.
+    pointwise, so every consistent completion plays the forced tuple at each
+    time, and a time with none in the alphabet product ends the search.  The
+    completions are the copies of that one history, one per choice of a copy
+    of the forced tuple at each time: a player's alphabet may repeat an
+    action, and each repeat counts.  `limit` bounds the nominal space, the
+    product of the alphabet sizes to the power of the times left.
     """
     domain = pfx.domain
     players = pfx.players
     _check_profile(profile, players)
     if not to.is_chain(domain):
         raise SearchSpaceTooLargeError("oracle enumeration requires a finite chain")
-    t0 = pfx.cut
-    n_times = domain.size - t0
-    tuples = list(itertools.product(*[alphabets[p] for p in players]))
-    if _space_exceeds(len(tuples), n_times, limit):
+    n_times = domain.size - pfx.cut
+    base = math.prod(len(alphabets[p]) for p in players)
+    if _space_exceeds(base, n_times, limit):
         raise SearchSpaceTooLargeError(
-            f"search space {len(tuples)}^{n_times} exceeds limit {limit}")
-    seq = list(encode_chain_prefix(pfx))
-    per = [list(pp) for pp in seq_to_prefix(domain, players, seq, t0).per_player]
-    steps = []  # per time, the alphabet tuples equal to the forced tuple
-    for s in range(t0, domain.size):
-        forced = tuple(_chain_responses(profile, s, seq, per, domain, players))
-        matches = [t for t in tuples if t == forced]
-        if not matches:
-            return OracleResult([], 0)
-        steps.append(matches)
-        seq.append(matches[0])
-        _chain_step(per, s, matches[0])
-    histories = [
-        splice(pfx, {
-            p: [(to.singleton(t0 + k), combo[k][i]) for k in range(n_times)]
-            for i, p in enumerate(players)
-        })
-        for combo in itertools.product(*steps)
-    ]
-    return OracleResult(histories, len(histories))
+            f"search space {base}^{n_times} exceeds limit {limit}")
+    asks = [strategy.respond for strategy in profile]
+    copies = [alphabets[p].count for p in players]
+    count = 1
+
+    def step(s: int, p: HistoryPrefix):
+        nonlocal count
+        forced = tuple([respond(s, p).action for respond in asks])
+        count *= math.prod(copies_of(a) for copies_of, a in zip(copies, forced))
+        return forced if count else OracleResult([], 0)
+
+    def close(pieces: list) -> OracleResult:
+        history = PiecewiseHistory.from_walk(domain, players, pieces)
+        return OracleResult([history] * count, count)
+
+    return _chain_walk(pfx, step, close)
 
 
 def verify_unique(

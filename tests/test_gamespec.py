@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,13 +16,14 @@ from totime.axioms import check_inertiality
 from totime.errors import AlphabetMismatchError, BadParametersError, SchemaError
 from totime.gamespec import (
     MAX_CHAIN_SIZE,
+    MAX_PAYOFF_BITS,
     build_profile,
     evaluate_payoff,
     exp_neg_enclosure,
     parse_spec,
     spec_to_json,
 )
-from totime.histories import PiecewiseHistory, empty_prefix
+from totime.histories import PiecewiseHistory, empty_prefix, history_to_json
 from totime.solver import solve_chain
 from totime.timeorder import DenseInterval, FiniteChain, Interval
 
@@ -602,6 +605,88 @@ def test_cli_refuses_a_chain_past_the_cap(tmp_path, capsys, within, size, comman
     code, out, err = within(1, run_cli, capsys, [command, spec_path, *hist])
     assert (code, out) == (2, "")
     assert err == f"error: domain.size: chain size must be at most {MAX_CHAIN_SIZE}, got {size}\n"
+
+
+def wide_spec_dict(width, payoff):
+    """Three players of `width` actions each on a two-time chain, with a
+    payoff table of one key when `payoff`."""
+    players = ("p1", "p2", "p3")
+    actions = [f"a{k}" for k in range(width)]
+    doc = {"domain": {"kind": "chain", "size": 2},
+           "players": [{"id": p, "actions": actions} for p in players],
+           "strategies": [{"kind": "constant", "player": p, "action": "a0"} for p in players]}
+    if payoff:
+        doc["payoff"] = {"rho": "1", "table": {"a0,a0,a0": "1"}}
+    return doc
+
+
+@pytest.mark.parametrize("command, where", [("spec", r"payoff\.table"),
+                                            ("oracle", "search space")])
+def test_a_wide_spec_is_refused_without_building_the_action_product(
+        tmp_path, capsys, command, where):
+    """The payoff table's keys are counted against the alphabet product's
+    size and the oracle's space is the product of the alphabet sizes, so
+    neither builds the 150^3 action tuples (hundreds of MB) to refuse."""
+    spec_path = write_json(tmp_path / "wide.json", wide_spec_dict(150, command == "spec"))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, [command, spec_path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert re.match(f"^error: {where}", err) and err.count("\n") == 1
+    assert peak < 4 * 2**20
+
+
+def test_missing_payoff_key_is_named_in_sorted_order():
+    doc = wide_spec_dict(3, True)
+    doc["players"][1]["actions"] = ["b", "a1", "a0"]
+    doc["payoff"]["table"] = {"a0,a0,a0": "1", "a0,a0,a1": "2"}
+    with pytest.raises(SchemaError) as e:
+        parse_spec(doc)
+    assert str(e.value) == "payoff.table: table is missing 25 action tuples, e.g. 'a0,a0,a2'"
+    doc["payoff"]["table"]["a0,a0,a2"] = "3"
+    with pytest.raises(SchemaError, match="missing 24 action tuples, e.g. 'a0,a1,a0'"):
+        parse_spec(doc)
+    doc["payoff"]["table"]["a0,a0"] = "3"
+    with pytest.raises(SchemaError, match=r"payoff\.table\['a0,a0'\]: key is not an action"):
+        parse_spec(doc)
+
+
+def test_cli_refuses_an_exact_chain_payoff_of_too_many_bits(tmp_path, capsys, within):
+    """At rho 1e4000 each chain time adds about 13,000 bits to the exact
+    payoff, which over 1,000 times ran for minutes; it is refused first."""
+    doc = chain_grim_spec_dict()
+    doc["domain"]["size"] = 1000
+    doc["payoff"]["rho"] = "1e4000"
+    spec = parse_spec(doc)
+    h = solve_chain(build_profile(spec), empty_prefix(spec.domain, spec.players)).history
+    spec_path = write_json(tmp_path / "spec.json", doc)
+    hist_path = write_json(tmp_path / "hist.json", history_to_json(h))
+    code, out, err = within(5, run_cli, capsys, ["payoff", spec_path, hist_path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: payoff.rho: the exact payoff of a chain of size 1000 ")
+    assert err.count("\n") == 1
+
+
+def test_chain_payoff_bit_cap_is_exact():
+    # one player, c = rho.numerator + rho.denominator = 2^999: 2 * 500 * 1000 bits at size 501
+    doc = {"domain": {"kind": "chain", "size": 501},
+           "players": [{"id": "p", "actions": ["a"]}],
+           "strategies": [{"kind": "constant", "player": "p", "action": "a"}],
+           "payoff": {"rho": str(Fraction(1, 2**999 - 1)), "table": {"a": "1"}}}
+    assert 2 * 500 * 1000 == MAX_PAYOFF_BITS
+    spec = parse_spec(doc)
+    h = solve_chain(build_profile(spec), empty_prefix(spec.domain, spec.players)).history
+    vec = evaluate_payoff(h, spec)
+    assert vec.lo["p"] == vec.hi["p"] > 1
+    doc["domain"]["size"] = 502
+    spec = parse_spec(doc)
+    h = solve_chain(build_profile(spec), empty_prefix(spec.domain, spec.players)).history
+    with pytest.raises(SchemaError, match=f"size 502 at this rho needs about 1002000 bits, "
+                                          f"more than {MAX_PAYOFF_BITS}"):
+        evaluate_payoff(h, spec)
 
 
 def test_gallery_strategy_needs_a_positive_top():

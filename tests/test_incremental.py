@@ -370,7 +370,7 @@ def test_solve_chain_builds_no_prefix_from_scratch(monkeypatch):
                         lambda *a, **k: calls.append(1) or original(*a, **k))
     spec = parse_spec(json.dumps(grim_chain_spec(400)))
     res = solver.solve_chain(build_profile(spec), empty_prefix(spec.domain, spec.players))
-    assert calls == []
+    assert calls == [1]  # the walk's start state at cut 0, and no rebuild per time
     assert res.events_consumed == 400
     assert res.history.per_player == ((((Interval(0, 399), "C"),),) * 2)
 

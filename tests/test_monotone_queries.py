@@ -56,8 +56,7 @@ from totime.solver import (
     UNIQUE,
     ZENO,
     SolveResult,
-    _chain_responses,
-    _chain_step,
+    _chain_walk,
     seq_to_prefix,
     solve_chain,
     solve_dense,
@@ -112,46 +111,54 @@ def run_queries(strategy, ops):
     """Ask the strategy as `ops` say; returns the (t, action tuples) and the
     answer of each query.
 
-    A forward query goes through the solver's own `_chain_responses` on an
-    engine list; a query that goes back takes a snapshot of the same list
-    at an earlier length; a library prefix comes from seq_to_prefix and
-    carries no list.
+    Each engine list is the list of one run of the solver's own chain walk,
+    `_chain_walk`, whose step commits each "step" item and ends the run at
+    a restart or jump; a forward query is asked on the walk's snapshot.  A
+    query that goes back takes a snapshot of the walk's list at an earlier
+    length; a library prefix comes from seq_to_prefix and carries no list.
     """
     domain, players = PAYLOAD_CHAIN, PAYLOAD_PLAYERS
-    lst, per = [], [[], []]
     calls, answers = [], []
-
-    def extend(item):
-        _chain_step(per, len(lst), item)
-        lst.append(item)
+    todo = iter(ops)
 
     def ask(t, seq, pfx):
         calls.append((t, seq))
         answers.append(strategy.respond(t, pfx).action)
 
-    def forward():
-        calls.append((len(lst), tuple(lst)))
-        answers.append(next(_chain_responses([strategy], len(lst), lst, per,
-                                             domain, players)))
+    def walk(items, forward):
+        """Run the walk from a prefix of the raw items, asking at its first
+        time only when `forward`; returns the items of the next engine list,
+        or None once the ops run out."""
+        def step(s, p):
+            nonlocal forward
+            lst = p.actions._pieces  # the walk's own list, as the random table reads it
+            if forward:
+                ask(s, tuple(lst), p)
+            forward = True
+            for op, *arg in todo:
+                if op == "step":
+                    return arg[0]
+                if op == "repeat":
+                    ask(s, tuple(lst), p)
+                elif op == "back":
+                    k = min(arg[0], s)
+                    pfx = replace(seq_to_prefix(domain, players, lst, k),
+                                  actions=PiecesView(lst, k))
+                    ask(k, tuple(lst[:k]), pfx)
+                elif op == "library":
+                    seq = tuple(arg[0])
+                    ask(len(seq), seq, seq_to_prefix(domain, players, seq, len(seq)))
+                else:  # restart or jump: a new engine list
+                    return list(arg[0]) if op == "jump" else []
+            return None
 
-    for op, *arg in ops:
-        if op == "step":
-            extend(arg[0])
-            forward()
-        elif op == "repeat":
-            forward()
-        elif op == "back":
-            k = min(arg[0], len(lst))
-            pfx = replace(seq_to_prefix(domain, players, lst, k), actions=PiecesView(lst, k))
-            ask(k, tuple(lst[:k]), pfx)
-        elif op == "library":
-            seq = tuple(arg[0])
-            ask(len(seq), seq, seq_to_prefix(domain, players, seq, len(seq)))
-        else:  # restart or jump: a new engine list
-            lst, per = [], [[], []]
-            for item in arg[0] if op == "jump" else []:
-                extend(item)
-            forward()
+        start = replace(seq_to_prefix(domain, players, items, len(items)),
+                        actions=tuple(items))
+        return _chain_walk(start, step, lambda pieces: None)
+
+    items = walk([], False)
+    while items is not None:
+        items = walk(items, True)
     return calls, answers
 
 

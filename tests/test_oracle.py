@@ -172,6 +172,30 @@ def test_repeated_actions_keep_the_product_order():
     assert result.count >= 2 ** 3  # every time matches both copies of "b"
 
 
+def test_every_chain_entry_point_refuses_an_including_prefix():
+    """A prefix that includes its cut is refused by the chain walk itself,
+    with one error for the solver and the oracle, before any query."""
+    domain, players = FiniteChain(4), ("p1",)
+    asked = []
+
+    def respond(t, p):
+        asked.append(t)
+        return Response("a", None)
+
+    profile = [Strategy("p1", respond, name="recording")]
+    h = solve_chain(profile, empty_prefix(domain, players)).history
+    pfx = prefix(h, 1, include=True)
+    asked.clear()
+    errors = []
+    for run in (lambda: solve_chain(profile, pfx),
+                lambda: oracle_enumerate(profile, pfx, {"p1": ("a",)})):
+        with pytest.raises(ValueError) as e:
+            run()
+        errors.append(str(e.value))
+    assert errors == ["a chain walk starts from a strict prefix"] * 2
+    assert asked == []
+
+
 def test_space_check_is_exact_at_the_limit():
     domain = FiniteChain(3)
     profile = [make_constant("p1", "a", ("a", "b"), domain)]
