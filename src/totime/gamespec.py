@@ -63,6 +63,14 @@ MAX_CHAIN_SIZE = 100_000
 # minutes.
 MAX_PAYOFF_BITS = 1_000_000
 
+# A dense payoff on a domain from lo < 0 encloses e^{-rho lo} <= 2^amp,
+# amp = ceil(-3/2 rho lo), and the width of that enclosure grows as 4^amp,
+# so every enclosure works at about 2 amp bits.  Through the CLI, one
+# constant player on [-1, 1] at rho 83,333 (2 amp = 250,000) pays off in
+# about 5 s, and at rho 3e4 in 0.7 s (Python 3.11, 2 vCPUs); each change
+# of action in the history adds one enclosure, about 3 s at the cap.
+MAX_DENSE_PAYOFF_BITS = 250_000
+
 
 @dataclass(frozen=True)
 class GameSpec:
@@ -390,10 +398,14 @@ class PayoffVector:
         return self.hi[player] - self.lo[player]
 
     def to_json(self) -> dict:
-        return {
-            p: {"lo": to.format_point(self.lo[p]), "hi": to.format_point(self.hi[p])}
-            for p in self.players
-        }
+        out = {}
+        for p in self.players:
+            # an exact value is formatted once: past 4,300 digits each
+            # formatting is a Decimal conversion
+            lo, hi = self.lo[p], self.hi[p]
+            text = to.format_point(lo)
+            out[p] = {"lo": text, "hi": text if hi == lo else to.format_point(hi)}
+        return out
 
 
 def _stage_payoffs(spec: GameSpec, combo: tuple[str, ...]) -> Mapping[str, Fraction]:
@@ -478,6 +490,9 @@ def evaluate_payoff(
     top = max(abs(w) for ws in weights for w in ws)
     c = min(times[0], 0)
     amp = math.ceil(-3 * rho * c / 2)  # e^{-rho c} <= 2^amp, as log2(e) < 3/2
+    _expect(2 * amp <= MAX_DENSE_PAYOFF_BITS, "payoff.rho",
+            f"the payoff on a dense domain from {to.format_point(c)} at this rho needs about "
+            f"{to.format_point(2 * amp)} bits, more than {MAX_DENSE_PAYOFF_BITS}")
     # 24 n covers 6 ulps per stretch plus the factor's width;
     # amp + 3 bits keep f_lo >= 5
     bits = max(amp + 3, _ceil_log2(24 * len(weights) * max(top, 1) * 4**amp

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totime import cli
+from totime import cli, gamespec
 from totime import timeorder as to
 from totime.axioms import check_inertiality
 from totime.errors import AlphabetMismatchError, BadParametersError, SchemaError
 from totime.gamespec import (
     MAX_CHAIN_SIZE,
+    MAX_DENSE_PAYOFF_BITS,
     MAX_PAYOFF_BITS,
     build_profile,
     evaluate_payoff,
@@ -236,6 +237,55 @@ def test_payoff_rejects_non_positive_tolerance(tol, within):
     )
     with pytest.raises(BadParametersError):
         within(5, evaluate_payoff, h, spec, tol=tol)
+
+
+def test_exact_payoff_is_formatted_once_per_player(monkeypatch):
+    """lo and hi of a chain payoff are one Fraction; past 4,300 digits each
+    formatting is a Decimal conversion, so it runs once per player."""
+    spec = parse_spec(chain_grim_spec_dict())
+    h = solve_chain(build_profile(spec), empty_prefix(spec.domain, spec.players)).history
+    vec = evaluate_payoff(h, spec)
+    calls = []
+    format_point = to.format_point
+    monkeypatch.setattr(to, "format_point", lambda t: calls.append(t) or format_point(t))
+    out = vec.to_json()
+    assert calls == [vec.lo["p1"], vec.lo["p2"]]
+    assert out == {p: {"lo": str(vec.lo[p]), "hi": str(vec.hi[p])} for p in spec.players}
+
+
+def below_zero_payoff_spec_dict(rho):
+    return {"domain": {"kind": "dense", "lo": "-1", "hi": "1"},
+            "players": [{"id": "p", "actions": ["a"]}],
+            "strategies": [{"kind": "constant", "player": "p", "action": "a"}],
+            "payoff": {"rho": rho, "table": {"a": "1"}}}
+
+
+def constant_history(spec):
+    return PiecewiseHistory.build(
+        spec.domain, spec.players,
+        {p: [(to.full_interval(spec.domain), spec.alphabets[p][0])] for p in spec.players})
+
+
+# e^{-rho lo} on [-1, 1] needs 2 ceil(3 rho / 2) bits: 250,002 at rho 83,334,
+# one step past the cap, where the payoff would take about 5 s
+@pytest.mark.parametrize("rho", ["83334", "1e4000"])
+def test_dense_payoff_below_zero_past_the_bit_cap_is_refused(rho, within):
+    spec = parse_spec(below_zero_payoff_spec_dict(rho))
+    with pytest.raises(SchemaError, match=r"^payoff\.rho: the payoff on a dense domain "
+                                          r"from -1 at this rho needs about \d+ bits, "
+                                          rf"more than {MAX_DENSE_PAYOFF_BITS}$"):
+        within(5, evaluate_payoff, constant_history(spec), spec)
+    assert MAX_DENSE_PAYOFF_BITS == 250_000
+
+
+def test_dense_payoff_bit_cap_is_exact(monkeypatch):
+    # on [-1, 1], 2 ceil(3 rho / 2) is 30 at rho 10 and 32 at rho 21/2
+    monkeypatch.setattr(gamespec, "MAX_DENSE_PAYOFF_BITS", 30)
+    spec = parse_spec(below_zero_payoff_spec_dict("10"))
+    assert evaluate_payoff(constant_history(spec), spec).lo["p"] > 0
+    spec = parse_spec(below_zero_payoff_spec_dict("21/2"))
+    with pytest.raises(SchemaError, match="needs about 32 bits, more than 30$"):
+        evaluate_payoff(constant_history(spec), spec)
 
 
 # -- command line ---------------------------------------------------------------
@@ -668,6 +718,20 @@ def test_cli_refuses_an_exact_chain_payoff_of_too_many_bits(tmp_path, capsys, wi
     assert (code, out) == (2, "")
     assert err.startswith("error: payoff.rho: the exact payoff of a chain of size 1000 ")
     assert err.count("\n") == 1
+
+
+def test_cli_refuses_a_dense_payoff_of_too_many_bits(tmp_path, capsys, within):
+    """At rho 1e5 on [-1, 1] one constant player's payoff took 7.4 s, and
+    each change of action adds an enclosure; past the cap it is refused
+    before the first."""
+    doc = below_zero_payoff_spec_dict("1e5")
+    spec_path = write_json(tmp_path / "spec.json", doc)
+    hist_path = write_json(tmp_path / "hist.json",
+                           history_to_json(constant_history(parse_spec(doc))))
+    code, out, err = within(5, run_cli, capsys, ["payoff", spec_path, hist_path])
+    assert (code, out) == (2, "")
+    assert err == (f"error: payoff.rho: the payoff on a dense domain from -1 at this rho "
+                   f"needs about 300000 bits, more than {MAX_DENSE_PAYOFF_BITS}\n")
 
 
 def test_chain_payoff_bit_cap_is_exact():
