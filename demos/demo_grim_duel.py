@@ -1,10 +1,11 @@
 """Two grim-trigger players on dense time [0, 1].
 
 Both cooperate, threaten to punish forever once they see a defection, and
-react with a lag of 1/4.  The event loop commits cooperative holds of
-length 1/4 all the way across the interval, so the unique consistent
-history is all-C, and the discounted payoff is a certified enclosure of
-2 (1 - e^(-1/2)) per player.
+react with a lag of 1/4.  Given the tuple (C, C) the event loop commits,
+no one plays a trigger, so each grim holds to the end: one cooperative
+stretch across the interval and the closing instant, 2 events at any lag.
+The unique consistent history is all-C, and the discounted payoff is a
+certified enclosure of 2 (1 - e^(-1/2)) per player.
 
 Run:  python3 demos/demo_grim_duel.py
 """

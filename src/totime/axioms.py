@@ -42,6 +42,7 @@ from .solver import (
     DEFAULT_EVENT_BUDGET,
     NO_TRACE,
     UNIQUE,
+    _answers,
     _chain_walk,
     _check_profile,
     _walk,
@@ -138,14 +139,16 @@ def _dense_walk(
 
     A step ends at the earliest hold or end of a piece of h.  Until the
     first disagreement the walk's pieces equal h's prefix, so strategies
-    see h; h itself is read through one cursor per player.  A strategy
-    without a hold, at a query or at a right-limit re-query, hands the rest
-    of the check to sampling.
+    see h; h plays the step's tuple up to that end, so a hold given that
+    tuple stands.  h itself is read through one cursor per player.  A
+    strategy without a hold, at a query or at a right-limit re-query,
+    hands the rest of the check to sampling.
     """
     top = h.domain.top
     per = h.per_player
     at_c = [0] * len(per)  # index of each player's piece of h at c
     steps = 0  # an at-query and its right-limit re-query are one step
+    answer = _answers(profile)
 
     def report(consistent, c=None, diagnosis=None) -> ConsistencyReport:
         return ConsistencyReport(consistent, WITNESS_BASED, target.to_json(), c,
@@ -157,25 +160,24 @@ def _dense_walk(
             if steps >= budget:
                 return report(None, diagnosis="verification budget exhausted")
             steps += 1
-        resp = [s.respond(c, p) for s in profile]
-        if any(r.hold_until is None for r in resp):
+        actions, holds = answer(c, p)
+        if any(hold is None for hold in holds):
             return _sampled_consistent(profile, h, c, target, samples, seed)
-        actions = tuple(r.action for r in resp)
         if p.cut_included:
             r2 = top
-            for i, r in enumerate(resp):
-                if r.hold_until <= c:
+            for i, hold in enumerate(holds):
+                if hold <= c:
                     return report(False, c, f"strategy of {h.players[i]} repeats an "
                                             f"instantaneous hold at {c}")
                 # h's piece just after c: the piece at c, or the next one if
                 # that ends at c
                 k = at_c[i] = at_c[i] + (per[i][at_c[i]][0].hi == c)
                 iv, a = per[i][k]
-                if a != r.action:
+                if a != actions[i]:
                     return report(False, c, f"history plays {a!r} just after {c}, "
                                             f"strategy of {h.players[i]} requires "
-                                            f"{r.action!r}")
-                r2 = min(r2, r.hold_until, iv.hi)
+                                            f"{actions[i]!r}")
+                r2 = min(r2, hold, iv.hi)
             return actions, r2
         for i, pieces in enumerate(per):
             at_c[i] = index_at(pieces, c, at_c[i])
@@ -184,8 +186,7 @@ def _dense_walk(
             return report(False, c, f"history plays {hval!r} at {c}, "
                                     f"strategies require {actions!r}")
         # a hold or a piece of h that ends at c makes c an instant
-        end = min(top, *(r.hold_until for r in resp),
-                  *(per[i][k][0].hi for i, k in enumerate(at_c)))
+        end = min(top, *holds, *(per[i][k][0].hi for i, k in enumerate(at_c)))
         return actions, (end if end > c else c)
 
     return _walk(history_prefix(h, t), step, lambda pieces: report(True))

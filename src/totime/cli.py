@@ -56,9 +56,11 @@ SOLVE_EXIT = {"unique": 0, "no_trace": 3, "zeno": 4, "budget": 5}
 MAX_SAMPLES = 100_000
 # 4x the default, the budget of verify_unique's re-runs; at this budget a Zeno
 # solve of the halving spec on [-1, 2] takes 0.8 s and 63 MB (Python 3.11,
-# 2 vCPUs).  A dense walk that ends but needs more events than this cannot
-# be solved through the CLI: a grim duel with delta 1/10000 on [-1, 2] takes
-# 30,001 events
+# 2 vCPUs).  Every dense walk a spec describes either is Zeno or ends in a
+# few events per player, since a grim changes action at most once and holds
+# to the top given a tuple with no trigger (a grim duel takes 2 events at any
+# delta).  A walk that ends after more events than this, such as
+# `solve_dense` on a script of more than 16,384 pieces, needs the library.
 MAX_BUDGET = 4 * DEFAULT_EVENT_BUDGET
 
 

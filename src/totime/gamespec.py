@@ -65,10 +65,12 @@ MAX_PAYOFF_BITS = 1_000_000
 
 # A dense payoff on a domain from lo < 0 encloses e^{-rho lo} <= 2^amp,
 # amp = ceil(-3/2 rho lo), and the width of that enclosure grows as 4^amp,
-# so every enclosure works at about 2 amp bits.  Through the CLI, one
-# constant player on [-1, 1] at rho 83,333 (2 amp = 250,000) pays off in
-# about 5 s, and at rho 3e4 in 0.7 s (Python 3.11, 2 vCPUs); each change
-# of action in the history adds one enclosure, about 3 s at the cap.
+# so every enclosure works at about 2 amp bits, and there is one per
+# change of action.  Through the CLI, one constant player on [-1, 1] at
+# rho 83,333 (one stretch, 2 amp = 250,000) pays off in about 5 s, and at
+# rho 3e4 in 0.7 s (Python 3.11, 2 vCPUs); each further stretch adds an
+# enclosure of about 3 s at rho 83,333, so the cap bounds the whole
+# payoff, (stretches) x 2 amp, as the chain cap does.
 MAX_DENSE_PAYOFF_BITS = 250_000
 
 
@@ -479,6 +481,12 @@ def evaluate_payoff(
         return PayoffVector(spec.players, exact, dict(exact))
 
     times = h.change_times()
+    c = min(times[0], 0)
+    amp = math.ceil(-3 * rho * c / 2)  # e^{-rho c} <= 2^amp, as log2(e) < 3/2
+    work = (len(times) - 1) * 2 * amp  # an enclosure of about 2 amp bits per stretch
+    _expect(work <= MAX_DENSE_PAYOFF_BITS, "payoff.rho",
+            f"the payoff on a dense domain from {to.format_point(c)} at this rho needs about "
+            f"{work} bits, more than {MAX_DENSE_PAYOFF_BITS}")
     # weights[k] belongs to the stretch [times[k], times[k+1]]
     scale, weights = _integer_weights(spec, [_stage_payoffs(spec, combo)
                                              for combo in stretch_actions(h.per_player, times)])
@@ -488,11 +496,6 @@ def evaluate_payoff(
         return PayoffVector(spec.players, exact, dict(exact))
 
     top = max(abs(w) for ws in weights for w in ws)
-    c = min(times[0], 0)
-    amp = math.ceil(-3 * rho * c / 2)  # e^{-rho c} <= 2^amp, as log2(e) < 3/2
-    _expect(2 * amp <= MAX_DENSE_PAYOFF_BITS, "payoff.rho",
-            f"the payoff on a dense domain from {to.format_point(c)} at this rho needs about "
-            f"{to.format_point(2 * amp)} bits, more than {MAX_DENSE_PAYOFF_BITS}")
     # 24 n covers 6 ulps per stretch plus the factor's width;
     # amp + 3 bits keep f_lo >= 5
     bits = max(amp + 3, _ceil_log2(24 * len(weights) * max(top, 1) * 4**amp

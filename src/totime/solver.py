@@ -14,8 +14,10 @@ consistency walk and the traceability probe of `axioms`: at each event
 time a caller's step reads every player's action and the next bound, the
 walk commits a constant stretch up to it with `histories._append_piece`,
 and an instant gets a singleton piece and a right-limit re-query.  The
-solver's step reads hold-witnesses; event times that keep accumulating
-below the horizon are reported as Zeno rather than silently truncated.
+solver's and the consistency walk's steps read each player's action and
+hold through `_answers`, which prefers a strategy's hold given the tuple
+the walk commits; event times that keep accumulating below the horizon
+are reported as Zeno rather than silently truncated.
 Both solvers finish through `PiecewiseHistory.from_walk`.
 """
 
@@ -200,6 +202,33 @@ def solve_chain(profile: Sequence[Strategy], pfx: HistoryPrefix) -> SolveResult:
     return _chain_walk(pfx, step, close)
 
 
+def _answers(profile: Sequence[Strategy], order: Optional[Sequence[int]] = None):
+    """answer(c, p) -> (actions, holds): the one path from a dense profile
+    to each player's action at c and its hold, shared by the solver's and
+    the consistency walk's steps.  Strategies are asked in `order`; then a
+    strategy with a conditional hold answers hold_given(c, p, actions),
+    which stands while every player keeps this tuple, and the rest keep
+    their response's hold_until (None when they give none).  Either is
+    enough for a walk: the stretch it commits plays exactly that tuple."""
+    n = len(profile)
+    asks = [(i, profile[i].respond) for i in (range(n) if order is None else order)]
+    given = [(i, s.hold_given) for i, s in enumerate(profile) if s.hold_given is not None]
+
+    def answer(c: TimePoint, p: HistoryPrefix) -> tuple[tuple, list]:
+        actions: list = [None] * n
+        holds: list = [None] * n
+        for i, respond in asks:
+            res = respond(c, p)
+            actions[i] = res.action
+            holds[i] = res.hold_until
+        actions = tuple(actions)
+        for i, hold_given in given:
+            holds[i] = hold_given(c, p, actions)
+        return actions, holds
+
+    return answer
+
+
 def _walk(pfx: HistoryPrefix, step, close):
     """The dense event walk from pfx's cut, shared by solve_dense, the
     consistency walk and the traceability probe.
@@ -292,26 +321,26 @@ def solve_dense(
         # event times rise strictly below top, so any limit lies in (c, top]
         return stop(ZENO, diagnosis, accumulation_bounds=(c, top))
 
-    asks = [(i, profile[i].respond) for i in idx]
+    answer = _answers(profile, idx)
 
     def step(c: TimePoint, p: HistoryPrefix):
         right = p.cut_included
         if not right and len(events) >= event_budget:
             return over_budget(c)
-        actions: list = [None] * n
-        holds: list = [None] * n
-        for i, respond in asks:
-            res = respond(c, p)
-            hold = res.hold_until
+        actions, holds = answer(c, p)
+        for i in idx:
+            hold = holds[i]
             if hold is None:
                 raise MissingWitnessError(
                     f"strategy of {players[i]} returned no hold at {c}"
                 )
-            actions[i] = res.action
-            holds[i] = top if top < hold else hold  # min(hold, top)
-        actions, holds = tuple(actions), tuple(holds)
+            if top < hold:
+                holds[i] = top
+        holds = tuple(holds)
         events.append((c, "after" if right else "at", actions, holds))
-        # only an action that changed since the last stretch's query can break its hold
+        # only an action that changed since the last stretch's query can break its
+        # hold; below c the walk played exactly that query's tuple, so a hold
+        # given that tuple binds like an unconditional one
         if not right and len(events) > 1 and actions != events[-2][2]:
             _, _, prev_actions, prev_holds = events[-2]
             for i in range(n):

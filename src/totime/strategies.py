@@ -5,8 +5,14 @@ interface is prefix-only by construction, so equal prefixes always yield
 equal responses.  Structured families additionally supply hold-witnesses:
 a per-query commitment that the returned action stays stable on [t, r) as
 long as every player keeps a constant action, which is what makes
-dense-time solving computable.  Black-box strategies (the counterexample
-gallery) supply no witness and can only be sampled.
+dense-time solving computable.  A family may also supply a conditional
+hold, `Strategy.hold_given(t, prefix, actions)`: the hold that stands
+while every player plays the tuple `actions` on [t, r).  It is at least
+the unconditional hold, and a dense walk, which knows the tuple it
+commits, reads it instead; so dense grim holds to the top while no one
+defects, and a walk pays per change of action, not per reaction lag.
+Black-box strategies (the counterexample gallery) supply no witness and
+can only be sampled.
 """
 
 from __future__ import annotations
@@ -40,8 +46,10 @@ class Response:
     """An action plus an optional hold-witness.
 
     hold_until = r > t commits the action on [t, r) under all-players-
-    constant extensions; hold_until = t marks an instantaneous (singleton)
-    action; None means no commitment at all (black-box).
+    constant extensions, whatever constants they are; hold_until = t marks
+    an instantaneous (singleton) action; None means no commitment at all
+    (black-box).  A strategy's `hold_given` narrows the extensions to one
+    tuple of constants and may hold longer.
     """
 
     action: str
@@ -51,6 +59,10 @@ class Response:
 # inertial witness: (t, prefix) -> (s, action) with s > t, uniform over
 # ALL extensions of the prefix on [t, s)
 InertialWitness = Callable[[TimePoint, HistoryPrefix], tuple[TimePoint, str]]
+# conditional hold: (t, prefix, actions) -> r >= t, the hold that stands
+# while every player plays `actions` (one per player, in prefix order) on
+# [t, r); r = t marks an instant, as for hold_until
+HoldGiven = Callable[[TimePoint, HistoryPrefix, tuple], TimePoint]
 
 
 @dataclass
@@ -64,6 +76,7 @@ class Strategy:
     black_box: bool = False
     default_action: Optional[str] = None  # z_i, when frictional
     inertial_witness: Optional[InertialWitness] = None
+    hold_given: Optional[HoldGiven] = None
 
 
 def encode_chain_prefix(p: HistoryPrefix) -> Sequence[tuple]:
@@ -128,7 +141,9 @@ def make_grim_trigger(
     Plays `cooperate`; once any opponent has played a trigger action at
     some time r, switches to `punish` from time r + delta onward (the lag
     is what makes the family inertial).  By default every opponent action
-    other than `cooperate` triggers.
+    other than `cooperate` triggers.  On a dense domain its conditional
+    hold is the top while no trigger is known or committed, so a duel in
+    which no one defects is one stretch.
     """
     if cooperate == punish:
         raise BadParametersError("cooperate and punish must differ")
@@ -150,9 +165,17 @@ def make_grim_trigger(
         def is_trigger(action: str) -> bool:
             return action in fires_set
 
+    last = (None, None)  # the last prefix asked and its punish start
+
     def punish_start(p: HistoryPrefix) -> Optional[TimePoint]:
+        # a walk asks respond, then hold_given, on one snapshot
+        nonlocal last
+        if last[0] is p:
+            return last[1]
         tau = _first_trigger(p, player, is_trigger)
-        return None if tau is None else tau + delta
+        start = None if tau is None else tau + delta
+        last = (p, start)
+        return start
 
     punished = Response(punish, None if chain else top)
 
@@ -171,11 +194,23 @@ def make_grim_trigger(
         s = min(start, t + delta) if start is not None else t + delta
         return min(s, top), cooperate
 
+    def hold_given(t: TimePoint, p: HistoryPrefix, actions: tuple) -> TimePoint:
+        start = punish_start(p)
+        if start is not None:
+            return top if start <= t else min(start, top)
+        # an opponent's trigger in the tuple starts at t (just after t at a
+        # right limit), so punishment would start at t + delta
+        for other, a in zip(p.players, actions):
+            if other != player and is_trigger(a):
+                return min(t + delta, top)
+        return top
+
     return Strategy(
         player,
         respond,
         name=f"grim({cooperate}->{punish},d={delta})",
         inertial_witness=witness,
+        hold_given=None if chain else hold_given,
     )
 
 

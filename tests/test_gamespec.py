@@ -288,6 +288,39 @@ def test_dense_payoff_bit_cap_is_exact(monkeypatch):
         evaluate_payoff(constant_history(spec), spec)
 
 
+def stretches_history(spec, n):
+    """p alternating a and b over n equal stretches of [-1, 1]."""
+    cuts = [Fraction(-1) + Fraction(2 * k, n) for k in range(n + 1)]
+    return PiecewiseHistory.build(spec.domain, spec.players, {"p": [
+        (Interval(a, b, True, k == n - 1), "ab"[k % 2])
+        for k, (a, b) in enumerate(zip(cuts, cuts[1:]))]})
+
+
+def two_action_spec(rho):
+    doc = below_zero_payoff_spec_dict(rho)
+    doc["players"][0]["actions"] = ["a", "b"]
+    doc["payoff"]["table"] = {"a": "1", "b": "-1/2"}
+    return parse_spec(doc)
+
+
+def test_dense_payoff_bit_cap_counts_every_stretch(monkeypatch):
+    # on [-1, 1] at rho 10 each stretch's enclosure needs 2 ceil(3 rho / 2) = 30 bits
+    monkeypatch.setattr(gamespec, "MAX_DENSE_PAYOFF_BITS", 60)
+    spec = two_action_spec("10")
+    assert evaluate_payoff(stretches_history(spec, 2), spec).lo["p"] > 0
+    with pytest.raises(SchemaError, match="needs about 90 bits, more than 60$"):
+        evaluate_payoff(stretches_history(spec, 3), spec)
+
+
+def test_dense_payoff_of_two_stretches_at_the_one_stretch_cap_is_refused(within):
+    """At rho 83,333 one stretch (2 amp = 250,000 bits) stays accepted; each
+    further one added about 3 s of enclosure, so two are refused at once."""
+    spec = two_action_spec("83333")
+    with pytest.raises(SchemaError, match=r"^payoff\.rho: .* needs about 500000 bits, "
+                                          rf"more than {MAX_DENSE_PAYOFF_BITS}$"):
+        within(1, evaluate_payoff, stretches_history(spec, 2), spec)
+
+
 # -- command line ---------------------------------------------------------------
 
 

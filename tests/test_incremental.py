@@ -651,15 +651,19 @@ def test_chain_snapshots_read_like_library_prefixes(h, seed):
 
 
 def test_dense_walk_validates_only_the_committed_stretches(monkeypatch):
-    """A 512-event grim duel, solved and verified by six jittered re-walks,
-    runs Interval's checks at most once per event (the committed stretch,
-    whose end comes from the step) and builds every snapshot without
+    """A 512-event walk, grim against a script of 511 stretches that
+    alternate C and D, solved and verified by six jittered re-walks, runs
+    Interval's checks at most once per event (the committed stretch, whose
+    end comes from the step) and builds every snapshot without
     HistoryPrefix.__init__."""
     domain, players = DenseInterval(-1, 2), ("p1", "p2")
     queries: list = []
-    profile = [make_grim_trigger(p, "C", "D", Fraction(3, 511), ("C", "D"), domain)
-               for p in players]
-    profile[0] = recording(profile[0], queries)  # one query per event
+    width = Fraction(3, 511)
+    cuts = [-1 + width * k for k in range(512)]
+    script = [(Interval(a, b, True, k == 510), "CD"[k % 2])
+              for k, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+    profile = [recording(make_scripted("p1", domain, script), queries),  # one query per event
+               make_grim_trigger("p2", "C", "D", width, ("C", "D"), domain)]
     pfx = empty_prefix(domain, players)
     checks, inits = [], []
     post_init, init = Interval.__post_init__, HistoryPrefix.__init__

@@ -8,9 +8,11 @@ they were before; they stay here as oracles, next to the plain
 `f"...{seq!r}"` payload.  `old_solve_dense` and `old_probe_trace` are the
 dense solver and the traceability probe with their own loops, before the
 three walks shared one event walk; the differential tests compare the
-reports of each old loop with the new code.  The guards count full prefix
-renders and bisects, so per-query O(prefix) or O(log pieces) work cannot
-come back unnoticed.
+reports of each old loop with the new code.  The old dense loops read a
+strategy's hold given the tuple it answers (`given_hold`), as the walks
+do now, so the differentials compare loops, not hold rules.  The guards
+count full prefix renders and bisects, so per-query O(prefix) or
+O(log pieces) work cannot come back unnoticed.
 """
 
 import hashlib
@@ -357,8 +359,17 @@ def test_interval_checks_match_old(lo, hi, lo_closed, hi_closed, probes):
 # -- the consistency walk -----------------------------------------------------
 
 
+def given_hold(strategy, t, p, actions, hold):
+    """The strategy's hold given the tuple `actions`, where it has one, else
+    `hold`, its unconditional one (None stays None)."""
+    if strategy.hold_given is None or hold is None:
+        return hold
+    return strategy.hold_given(t, p, actions)
+
+
 def old_dense_walk(profile, h: PiecewiseHistory, t, target, budget) -> ConsistencyReport:
-    """`axioms._dense_walk` before it looked pieces up through a cursor."""
+    """`axioms._dense_walk` before it looked pieces up through a cursor,
+    reading holds given the tuple as it does now."""
 
     def piece_at(pieces, s):
         k = linear_index_at(pieces, s)
@@ -380,7 +391,8 @@ def old_dense_walk(profile, h: PiecewiseHistory, t, target, budget) -> Consisten
         if any(r.hold_until is None for r in resp):
             return _sampled_consistent(profile, h, c, target, 64, 0)
         actions = tuple(r.action for r in resp)
-        holds = [min(r.hold_until, top) for r in resp]
+        holds = [min(given_hold(profile[i], c, pfx, actions, resp[i].hold_until), top)
+                 for i in range(n)]
         hval = h.eval(c)
         if hval != actions and target.contains(c):
             return ConsistencyReport(
@@ -407,9 +419,10 @@ def old_dense_walk(profile, h: PiecewiseHistory, t, target, budget) -> Consisten
             continue
         pfx2 = prefix(h, c, include=True)
         resp2 = [profile[i].respond(c, pfx2) for i in range(n)]
+        actions2 = tuple(r.action for r in resp2)
         m2 = top
         for i in range(n):
-            hold = resp2[i].hold_until
+            hold = given_hold(profile[i], c, pfx2, actions2, resp2[i].hold_until)
             r2 = min(c if hold is None else hold, top)
             if r2 <= c:
                 return ConsistencyReport(
@@ -432,7 +445,8 @@ def old_dense_walk(profile, h: PiecewiseHistory, t, target, budget) -> Consisten
 
 
 def old_solve_dense(profile, pfx, event_budget=4096, order=None, jitter=None) -> SolveResult:
-    """`solver.solve_dense` with its own event loop, before the walks shared one kernel."""
+    """`solver.solve_dense` with its own event loop, before the walks shared
+    one kernel, reading holds given the tuple as it does now."""
     domain = pfx.domain
     players = pfx.players
     top = domain.top
@@ -453,8 +467,10 @@ def old_solve_dense(profile, pfx, event_budget=4096, order=None, jitter=None) ->
             if r.hold_until is None:
                 raise MissingWitnessError(f"strategy of {players[i]} returned no hold at {t}")
             actions[i] = r.action
-            holds[i] = min(r.hold_until, top)
-        return tuple(actions), tuple(holds)
+            holds[i] = r.hold_until
+        actions = tuple(actions)
+        return actions, tuple(min(given_hold(profile[i], t, p, actions, holds[i]), top)
+                              for i in range(len(players)))
 
     def finish():
         history = PiecewiseHistory.build(

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from totime import timeorder as to
+from totime.axioms import is_consistent
 from totime.errors import MissingWitnessError, SearchSpaceTooLargeError
 from totime.histories import PiecewiseHistory, empty_prefix, prefix
 from totime.solver import (
@@ -94,16 +95,66 @@ def test_solve_dense_constant():
 
 
 def test_solve_dense_grim_pair_events():
+    """Given the committed (C, C), no trigger is played, so each grim holds
+    to the top: one stretch and the closing instant."""
     delta = Fraction(1, 4)
     profile = [make_grim_trigger(p, "C", "D", delta, ("C", "D"), UNIT)
                for p in ("p1", "p2")]
     pfx = empty_prefix(UNIT, ("p1", "p2"))
     res = solve_dense(profile, pfx)
     assert res.outcome == UNIQUE
-    below = sorted({e[0] for e in res.events if e[0] < 1})
-    assert below == [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+    assert res.events == [(0, "at", ("C", "C"), (1, 1)), (1, "at", ("C", "C"), (1, 1))]
     assert res.history.pieces_for("p1") == ((Interval(0, 1), "C"),)
     assert verify_unique(profile, pfx, res)
+
+
+def grim_duel(delta, domain=DenseInterval(-1, 2)):
+    profile = [make_grim_trigger(p, "C", "D", delta, ("C", "D"), domain)
+               for p in ("p1", "p2")]
+    return profile, empty_prefix(domain, ("p1", "p2"))
+
+
+def test_grim_duel_at_a_tiny_lag_solves_in_two_events(within):
+    """At delta 1/10000 on [-1, 2] an unconditional hold of t + delta took
+    30,001 events, past the default budget; the hold given (C, C) is the top."""
+    profile, pfx = grim_duel(Fraction(1, 10000))
+
+    def solve_and_check():
+        res = solve_dense(profile, pfx)
+        assert res.outcome == UNIQUE and res.events_consumed == 2
+        assert res.history.pieces_for("p2") == ((Interval(-1, 2), "C"),)
+        assert verify_unique(profile, pfx, res)
+        assert is_consistent(res.history, profile).consistent is True
+
+    within(2, solve_and_check)
+
+
+def test_no_defection_duel_events_do_not_depend_on_delta():
+    consumed = {solve_dense(*grim_duel(delta)).events_consumed
+                for delta in (Fraction(1, 100), Fraction(1, 128), Fraction(1, 10000))}
+    assert consumed == {2}
+
+
+def test_a_conditional_hold_the_tuple_does_not_justify_is_refused():
+    """p1's unconditional holds are honest, but its hold given any tuple
+    claims the top while it switches to b at 1/2.  p2's change at 3/4 makes
+    the solver ask p1 inside that claim, and the history that keeps a to the
+    top as claimed fails the consistency walk there."""
+    half, three_q = Fraction(1, 2), Fraction(3, 4)
+
+    def respond(t, p):
+        return Response("a", half) if t < half else Response("b", UNIT.top)
+
+    liar = Strategy("p1", respond, name="liar", hold_given=lambda t, p, actions: UNIT.top)
+    script = [(Interval(0, three_q, True, False), "x"), (Interval(three_q, 1), "y")]
+    profile = [liar, make_scripted("p2", UNIT, script)]
+    res = solve_dense(profile, empty_prefix(UNIT, ("p1", "p2")))
+    assert res.outcome == NO_TRACE
+    assert res.diagnosis == "strategy of p1 held 'a' until 1 but answered 'b' at 3/4"
+    h = PiecewiseHistory.build(UNIT, ("p1", "p2"), {"p1": [(Interval(0, 1), "a")],
+                                                    "p2": script})
+    report = is_consistent(h, profile)
+    assert report.consistent is False and report.witness_time == three_q
 
 
 def test_solve_dense_scripted_deviation_triggers_punishment():
@@ -120,6 +171,24 @@ def test_solve_dense_scripted_deviation_triggers_punishment():
         (Interval(0, Fraction(3, 4), True, False), "C"),
         (Interval(Fraction(3, 4), 1), "D"),
     )
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 4), Fraction(1, 10000)])
+@pytest.mark.parametrize("closed", [True, False])
+def test_grim_punishes_a_scripted_defector_from_the_first_trigger_plus_delta(delta, closed):
+    """The defector plays D from 1/3 on, from the instant 1/3 or just after
+    it.  Grim's hold given (C, D) there is 1/3 + delta, and the top after."""
+    third, domain = Fraction(1, 3), DenseInterval(-1, 2)
+    grim = make_grim_trigger("p1", "C", "D", delta, ("C", "D"), domain)
+    dev = make_scripted("p2", domain, [(Interval(-1, third, True, not closed), "C"),
+                                       (Interval(third, 2, closed, True), "D")])
+    profile, pfx = [grim, dev], empty_prefix(domain, ("p1", "p2"))
+    res = solve_dense(profile, pfx)
+    assert res.outcome == UNIQUE and res.events_consumed == (4 if closed else 5)
+    assert res.history.pieces_for("p1") == (
+        (Interval(-1, third + delta, True, False), "C"), (Interval(third + delta, 2), "D"))
+    assert verify_unique(profile, pfx, res)
+    assert is_consistent(res.history, profile).consistent is True
 
 
 def test_solve_dense_rejects_black_box():
