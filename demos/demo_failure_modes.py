@@ -7,9 +7,12 @@ Three instances from the built-in gallery plus a Zeno fixture:
                its own trigger.
   multi     -- a rule satisfied by two distinct histories that agree up
                to 1/2, so initial uniqueness (Axiom 3) fails exactly there.
-  halving   -- hold-witnesses that shrink geometrically; the event loop
-               classifies the run as Zeno and reports the accumulation
-               point 1 exactly.
+  halving   -- holds that halve the time left while the action changes at
+               every event; the strategy certifies that contraction, so the
+               event loop stops at its second event, classifies the run as
+               Zeno and reports the accumulation point 1 exactly.  Stuck on
+               one action, it certifies nothing, and the same walk ends
+               with its event budget exhausted.
 
 Run:  python3 demos/demo_failure_modes.py
 """
@@ -47,6 +50,11 @@ def main():
     print(f"halving: outcome = {res.outcome}, "
           f"accumulation point = {res.accumulation} "
           f"(exact, after {res.events_consumed} events)")
+    print("  why:", res.diagnosis)
+    stuck = [make_halving_hold("p1", ("a",), unit)]
+    res = solve_dense(stuck, empty_prefix(unit, ("p1",)), event_budget=64)
+    print(f"halving stuck on one action: outcome = {res.outcome} "
+          f"after {res.events_consumed} events ({res.diagnosis})")
 
 
 if __name__ == "__main__":

@@ -148,7 +148,7 @@ def _dense_walk(
     per = h.per_player
     at_c = [0] * len(per)  # index of each player's piece of h at c
     steps = 0  # an at-query and its right-limit re-query are one step
-    answer = _answers(profile)
+    answer = _answers(profile, top)
 
     def report(consistent, c=None, diagnosis=None) -> ConsistencyReport:
         return ConsistencyReport(consistent, WITNESS_BASED, target.to_json(), c,

@@ -54,10 +54,12 @@ SOLVE_EXIT = {"unique": 0, "no_trace": 3, "zeno": 4, "budget": 5}
 # a check of axiom 4 on the grim duel at this many samples takes about 8 s
 # (Python 3.11, 2 vCPUs); far more would run until killed
 MAX_SAMPLES = 100_000
-# 4x the default, the budget of verify_unique's re-runs; at this budget a Zeno
-# solve of the halving spec on [-1, 2] takes 0.8 s and 63 MB (Python 3.11,
-# 2 vCPUs).  Every dense walk a spec describes either is Zeno or ends in a
-# few events per player, since a grim changes action at most once and holds
+# 4x the default, the budget of verify_unique's re-runs.  It bounds walks
+# without a limit certificate: at this budget the uncertified walk of a
+# halving stuck on one action on [-1, 2] takes 0.6 s and 61 MB (Python
+# 3.11, 2 vCPUs), while the certified halving stops after 2 events.  Every
+# dense walk a spec describes either is Zeno or ends in a few events per
+# player, since a grim changes action at most once and holds
 # to the top given a tuple with no trigger (a grim duel takes 2 events at any
 # delta).  A walk that ends after more events than this, such as
 # `solve_dense` on a script of more than 16,384 pieces, needs the library.

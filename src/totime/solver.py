@@ -16,8 +16,10 @@ walk commits a constant stretch up to it with `histories._append_piece`,
 and an instant gets a singleton piece and a right-limit re-query.  The
 solver's and the consistency walk's steps read each player's action and
 hold through `_answers`, which prefers a strategy's hold given the tuple
-the walk commits; event times that keep accumulating below the horizon
-are reported as Zeno rather than silently truncated.
+the walk commits.  A solve reports Zeno, with its exact accumulation
+point, only where every strategy's limit certificate proves that event
+times accumulate (`_zeno_test`); a walk that runs out of events without
+one reports `budget`.
 Both solvers finish through `PiecewiseHistory.from_walk`.
 """
 
@@ -26,7 +28,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -91,8 +92,6 @@ class SolveResult:
     diagnosis: Optional[str] = None
     accumulation: Optional[TimePoint] = None
     events_consumed: int = 0
-    # (lo, hi) enclosing an accumulation point that is not known exactly
-    accumulation_bounds: Optional[tuple] = None
 
     def to_json(self) -> dict:
         """The result as JSON, with a bounded witness: past 2 * WITNESS_EDGE
@@ -116,8 +115,6 @@ class SolveResult:
             out["diagnosis"] = self.diagnosis
         if self.accumulation is not None:
             out["accumulation"] = to.format_point(self.accumulation)
-        if self.accumulation_bounds is not None:
-            out["accumulation_bounds"] = [to.format_point(t) for t in self.accumulation_bounds]
         return out
 
 
@@ -202,14 +199,16 @@ def solve_chain(profile: Sequence[Strategy], pfx: HistoryPrefix) -> SolveResult:
     return _chain_walk(pfx, step, close)
 
 
-def _answers(profile: Sequence[Strategy], order: Optional[Sequence[int]] = None):
+def _answers(profile: Sequence[Strategy], top: TimePoint,
+             order: Optional[Sequence[int]] = None):
     """answer(c, p) -> (actions, holds): the one path from a dense profile
     to each player's action at c and its hold, shared by the solver's and
     the consistency walk's steps.  Strategies are asked in `order`; then a
     strategy with a conditional hold answers hold_given(c, p, actions),
     which stands while every player keeps this tuple, and the rest keep
     their response's hold_until (None when they give none).  Either is
-    enough for a walk: the stretch it commits plays exactly that tuple."""
+    enough for a walk: the stretch it commits plays exactly that tuple.
+    A hold_until already at the top is kept: both walks cap holds there."""
     n = len(profile)
     asks = [(i, profile[i].respond) for i in (range(n) if order is None else order)]
     given = [(i, s.hold_given) for i, s in enumerate(profile) if s.hold_given is not None]
@@ -223,10 +222,50 @@ def _answers(profile: Sequence[Strategy], order: Optional[Sequence[int]] = None)
             holds[i] = res.hold_until
         actions = tuple(actions)
         for i, hold_given in given:
-            holds[i] = hold_given(c, p, actions)
+            if holds[i] != top:
+                holds[i] = hold_given(c, p, actions)
         return actions, holds
 
     return answer
+
+
+def _zeno_test(profile: Sequence[Strategy], top: TimePoint):
+    """Whether a dense walk of `profile` may stop as Zeno, decided once per
+    solve: None unless every strategy declares a certificate (a, b), those
+    with a > 0 share one map t -> a*t + b with a fixed point L <= top, and
+    every a = 0 hold b is at least L.  Else (L, diagnosis, test), where
+    test(c, p, actions, holds) holds at an at-event c < L at which each hold
+    is its certificate's value and each a > 0 strategy changed action from
+    its own last piece.  From such a c, every event r = a*c + b < L again
+    changes those actions and nothing else binds, so the walk makes
+    infinitely many events below L that accumulate at L."""
+    certs = [s.certificate for s in profile]
+    if None in certs or not all(0 <= a < 1 for a, b in certs):
+        return None
+    maps = {cert for cert in certs if cert[0] != 0}
+    if len(maps) != 1:
+        return None
+    [(a, b)] = maps
+    limit = b / (1 - a)
+    if top < limit or any(cb < limit for ca, cb in certs if ca == 0):
+        return None
+    moving = [i for i, cert in enumerate(certs) if cert[0] != 0]
+    fixed = [(i, cert[1]) for i, cert in enumerate(certs) if cert[0] == 0]
+
+    def test(c: TimePoint, p: HistoryPrefix, actions: tuple, holds: tuple) -> bool:
+        for i in moving:
+            own = p.per_player[i]
+            if not own or own[-1][1] == actions[i]:
+                return False
+        if not c < limit:
+            return False
+        hold = a * c + b
+        return all(holds[i] == hold for i in moving) and \
+            all(holds[i] == cb for i, cb in fixed)
+
+    return limit, (f"strategy of {profile[moving[0]].player} certifies each hold as "
+                   f"{a}*t {'-' if b < 0 else '+'} {abs(b)}: event times "
+                   f"accumulate at {limit}"), test
 
 
 def _walk(pfx: HistoryPrefix, step, close):
@@ -285,9 +324,13 @@ def solve_dense(
     """Event-driven construction of the consistent history on a dense domain.
 
     Every strategy must supply hold-witnesses; black-box profiles raise
-    MissingWitnessError.  `order` permutes the per-event query order and
-    `jitter` occasionally advances to a midpoint inside a hold; both must
-    leave the canonical result unchanged (see verify_unique).
+    MissingWitnessError.  The walk stops as `zeno`, at any budget, at the
+    first at-event where the profile's limit certificates prove that event
+    times accumulate (see `_zeno_test`); without that proof, a walk that
+    runs out of events reports `budget`.  `order` permutes the per-event
+    query order and `jitter` occasionally advances to a midpoint inside a
+    hold; both must leave the canonical result unchanged (see
+    verify_unique).
     """
     domain = pfx.domain
     players = pfx.players
@@ -307,21 +350,15 @@ def solve_dense(
                            diagnosis=diagnosis, **found)
 
     def over_budget(c: TimePoint) -> SolveResult:
+        # no certificate stopped the walk, so a limit of its events is unknown
         tail = [e[0] for e in events if e[1] == "at"][-8:] + [c]
         gaps = [b - a for a, b in zip(tail, tail[1:])]
-        zeno = len(gaps) >= 3 and all(b < a for a, b in zip(gaps, gaps[1:]))
-        if not zeno:
-            return stop(BUDGET, "event budget exhausted without accumulation")
-        diagnosis = "event times accumulate below the horizon"
-        if gaps[-2] != 0 and gaps[-3] != 0:
-            q1 = Fraction(gaps[-1]) / gaps[-2]
-            q2 = Fraction(gaps[-2]) / gaps[-3]
-            if q1 == q2 and 0 < q1 < 1:
-                return stop(ZENO, diagnosis, accumulation=c + gaps[-1] * q1 / (1 - q1))
-        # event times rise strictly below top, so any limit lies in (c, top]
-        return stop(ZENO, diagnosis, accumulation_bounds=(c, top))
+        if len(gaps) >= 3 and all(b < a for a, b in zip(gaps, gaps[1:])):
+            return stop(BUDGET, "event budget exhausted while the event gaps shrink")
+        return stop(BUDGET, "event budget exhausted")
 
-    answer = _answers(profile, idx)
+    answer = _answers(profile, top, idx)
+    limit, why, certified_at = _zeno_test(profile, top) or (None, None, None)
 
     def step(c: TimePoint, p: HistoryPrefix):
         right = p.cut_included
@@ -355,6 +392,8 @@ def solve_dense(
             return stop(NO_TRACE, f"instantaneous hold repeated at {c}")
         if r < c:
             return stop(NO_TRACE, f"hold {r} earlier than query time {c}")
+        if certified_at is not None and not right and certified_at(c, p, actions, holds):
+            return stop(ZENO, why, accumulation=limit)
         if jitter is not None and r != c and jitter.random() < 0.5:
             r = c + (r - c) / 2  # exact, so still above c
         return actions, r

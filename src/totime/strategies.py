@@ -11,6 +11,9 @@ while every player plays the tuple `actions` on [t, r).  It is at least
 the unconditional hold, and a dense walk, which knows the tuple it
 commits, reads it instead; so dense grim holds to the top while no one
 defects, and a walk pays per change of action, not per reaction lag.
+A family may also declare a limit certificate, `Strategy.certificate`,
+from which a dense walk can tell a Zeno run from its second event
+instead of walking its whole event budget.
 Black-box strategies (the counterexample gallery) supply no witness and
 can only be sampled.
 """
@@ -49,7 +52,8 @@ class Response:
     constant extensions, whatever constants they are; hold_until = t marks
     an instantaneous (singleton) action; None means no commitment at all
     (black-box).  A strategy's `hold_given` narrows the extensions to one
-    tuple of constants and may hold longer.
+    tuple of constants and may hold longer, and its `certificate` (a, b)
+    fixes hold_until to a*t + b below the certificate's fixed point.
     """
 
     action: str
@@ -63,12 +67,18 @@ InertialWitness = Callable[[TimePoint, HistoryPrefix], tuple[TimePoint, str]]
 # while every player plays `actions` (one per player, in prefix order) on
 # [t, r); r = t marks an instant, as for hold_until
 HoldGiven = Callable[[TimePoint, HistoryPrefix, tuple], TimePoint]
+# limit certificate: (a, b) with 0 <= a < 1 and fixed point L = b / (1 - a).
+# Every query at t < L answers the hold a*t + b.  With a = 0 the action never
+# changes; with a > 0, an action that differs from the strategy's own last
+# piece is followed, at the next query a*t + b on the prefix extended by what
+# a walk commits up to it, by one that differs from that piece too.
+Certificate = tuple[Fraction, Fraction]
 
 
 @dataclass
 class Strategy:
     """A player's strategy: a pure respond function plus the optional
-    witnesses and fast paths the engine uses."""
+    witnesses, fast paths and limit certificate the engine uses."""
 
     player: str
     respond: Callable[[TimePoint, HistoryPrefix], Response]
@@ -77,6 +87,7 @@ class Strategy:
     default_action: Optional[str] = None  # z_i, when frictional
     inertial_witness: Optional[InertialWitness] = None
     hold_given: Optional[HoldGiven] = None
+    certificate: Optional[Certificate] = None
 
 
 def encode_chain_prefix(p: HistoryPrefix) -> Sequence[tuple]:
@@ -91,11 +102,13 @@ def encode_chain_prefix(p: HistoryPrefix) -> Sequence[tuple]:
 
 def make_constant(player: str, action: str, alphabet: Sequence[str],
                   domain: TimeDomain) -> Strategy:
-    """Always play one action; inertial and frictional with z = action."""
+    """Always play one action; inertial and frictional with z = action.
+    On a dense domain it holds to the top, its certificate (0, top)."""
     if action not in alphabet:
         raise ActionNotInAlphabetError(f"{action!r} not in alphabet of {player}")
     top = domain.top
-    answer = Response(action, None if to.is_chain(domain) else top)
+    chain = to.is_chain(domain)
+    answer = Response(action, None if chain else top)
 
     def respond(t: TimePoint, p: HistoryPrefix) -> Response:
         return answer
@@ -109,6 +122,7 @@ def make_constant(player: str, action: str, alphabet: Sequence[str],
         name=f"constant({action})",
         default_action=action,
         inertial_witness=witness,
+        certificate=None if chain else (Fraction(0), top),
     )
 
 
@@ -373,11 +387,18 @@ def make_halving_hold(player: str, action_cycle: Sequence[str],
                       domain: DenseInterval) -> Strategy:
     """Zeno fixture: each query holds only half the remaining time.
 
-    Cycles through `action_cycle` by change count, so event times
-    accumulate at the horizon and the solver must report Zeno.
+    Cycles through `action_cycle` by change count, the number of its own
+    pieces in the prefix.  When every two cyclically adjacent entries
+    differ, each answer changes action, so event times accumulate at the
+    horizon, and it certifies that with (1/2, top/2): its holds are
+    t -> (t + top) / 2, whose fixed point is the top.  Otherwise a stretch
+    can merge into its last piece, its action stops changing and it
+    declares no certificate.
     """
     cycle = tuple(action_cycle)
     top = domain.top
+    certified = not to.is_chain(domain) and all(
+        x != y for x, y in zip(cycle, cycle[1:] + cycle[:1]))
 
     def respond(t: TimePoint, p: HistoryPrefix) -> Response:
         # change count so far = number of own pieces in the prefix
@@ -387,4 +408,5 @@ def make_halving_hold(player: str, action_cycle: Sequence[str],
             return Response(action, top)
         return Response(action, (t + top) / 2)
 
-    return Strategy(player, respond, name="halving_hold")
+    return Strategy(player, respond, name="halving_hold",
+                    certificate=(Fraction(1, 2), top / 2) if certified else None)

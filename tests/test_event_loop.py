@@ -3,8 +3,12 @@
 `generic_union` is the interval union the engine used before abutting
 pieces were joined first; it stays here as the oracle.  The guards count
 exact `Fraction` ordering comparisons, `strictly_precedes` calls and
-point formatting on a Zeno solve, whose event times carry denominators
-near 2^budget, so the costly comparisons cannot creep back unnoticed.
+point formatting on halving solves that walk the whole event budget,
+whose event times carry denominators near 2^budget, so the costly
+comparisons cannot creep back unnoticed.  A halving whose action cycles
+certifies its limit and stops at its second event, so those walks use a
+halving stuck on one action (cycle ["C"]), which declares no certificate
+and exits 5.
 """
 
 import json
@@ -19,7 +23,7 @@ from totime import cli, solver
 from totime import timeorder as to
 from totime.gamespec import build_profile, parse_spec
 from totime.histories import empty_prefix, history_to_json
-from totime.solver import ZENO, solve_dense
+from totime.solver import BUDGET, solve_dense
 from totime.strategies import make_constant, make_halving_hold, make_scripted
 from totime.timeorder import DenseInterval, FiniteChain, Interval
 
@@ -109,16 +113,21 @@ def test_try_union_named_cases_in_both_orders(domain, a, b, swap):
     assert_union_matches(domain, a, b, probes)
 
 
-def halving_profile(domain):
-    return [make_halving_hold("p1", ("C", "D"), domain),
+def halving_profile(domain, cycle=("C", "D")):
+    return [make_halving_hold("p1", cycle, domain),
             make_constant("p2", "C", ("C", "D"), domain)]
+
+
+def stuck_profile(domain):
+    """The halving's event times, uncertified: its action never changes."""
+    return halving_profile(domain, ("C",))
 
 
 def test_halving_solve_pays_no_redundant_order_logic(monkeypatch):
     """1,024 events: at most 8 ordering comparisons per event, no
     strictly_precedes, and only the trailing gaps subtracted at the end."""
     domain = DenseInterval(Fraction(-1), Fraction(2))
-    profile = halving_profile(domain)
+    profile = stuck_profile(domain)
     pfx = empty_prefix(domain, ("p1", "p2"))
     calls = {"cmp": [], "sub": [], "precedes": []}
 
@@ -134,7 +143,7 @@ def test_halving_solve_pays_no_redundant_order_logic(monkeypatch):
     count(to, "strictly_precedes", "precedes")
     res = solve_dense(profile, pfx, event_budget=1024)
     monkeypatch.undo()
-    assert res.outcome == ZENO and res.accumulation == 2
+    assert res.outcome == BUDGET and res.accumulation is None
     assert res.events_consumed == 1024
     assert len(calls["cmp"]) <= 8 * res.events_consumed
     assert calls["precedes"] == []
@@ -143,7 +152,7 @@ def test_halving_solve_pays_no_redundant_order_logic(monkeypatch):
 
 def test_to_json_formats_each_event_point_once(monkeypatch):
     domain = DenseInterval(Fraction(0), Fraction(1))
-    res = solve_dense(halving_profile(domain), empty_prefix(domain, ("p1", "p2")),
+    res = solve_dense(stuck_profile(domain), empty_prefix(domain, ("p1", "p2")),
                       event_budget=256)
     calls = []
     fmt = to.format_point
@@ -156,8 +165,8 @@ def test_to_json_formats_each_event_point_once(monkeypatch):
     calls.clear()
     res.to_json()
     # the 32 events shown, one hold at the seam between head and tail, the
-    # horizon, p1's last hold and the accumulation point
-    assert len(calls) <= 2 * solver.WITNESS_EDGE + 4
+    # horizon and p1's last hold
+    assert len(calls) <= 2 * solver.WITNESS_EDGE + 3
 
 
 def plain_event(event):
@@ -187,36 +196,50 @@ def plain_rendering(res):
         out["diagnosis"] = res.diagnosis
     if res.accumulation is not None:
         out["accumulation"] = to.format_point(res.accumulation)
-    if res.accumulation_bounds is not None:
-        out["accumulation_bounds"] = [to.format_point(t) for t in res.accumulation_bounds]
     return out
 
 
 ZENO_DOMAINS = [("0", "1"), ("-1", "2"), ("1/2", "3"), ("-2", "-1/2")]
 
 
-def zeno_doc(lo, hi):
+def zeno_doc(lo, hi, cycle=("C", "D")):
     return {
         "domain": {"kind": "dense", "lo": lo, "hi": hi},
         "players": [{"id": p, "actions": ["C", "D"]} for p in ("p1", "p2")],
-        "strategies": [{"kind": "halving", "player": "p1", "cycle": ["C", "D"]},
+        "strategies": [{"kind": "halving", "player": "p1", "cycle": list(cycle)},
                        {"kind": "constant", "player": "p2", "action": "C"}],
     }
 
 
-@pytest.mark.parametrize("budget", [64, 1024])
-@pytest.mark.parametrize("lo, hi", ZENO_DOMAINS)
-def test_cli_zeno_solve_is_the_plain_rendering(tmp_path, capsys, lo, hi, budget):
-    doc = zeno_doc(lo, hi)
-    path = tmp_path / "zeno.json"
+def stuck_doc(lo, hi):
+    return zeno_doc(lo, hi, ("C",))
+
+
+def cli_solve_is_the_plain_rendering(tmp_path, capsys, doc, budget, code):
+    path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
-    assert cli.main(["solve", str(path), "--budget", str(budget)]) == 4
+    assert cli.main(["solve", str(path), "--budget", str(budget)]) == code
     stdout = capsys.readouterr().out
     spec = parse_spec(doc)
     res = solve_dense(build_profile(spec), empty_prefix(spec.domain, spec.players),
                       event_budget=budget)
     assert stdout == json.dumps(plain_rendering(res), indent=2) + "\n"
-    assert json.loads(stdout)["accumulation"] == hi
+    return json.loads(stdout)
+
+
+@pytest.mark.parametrize("budget", [64, 1024])
+@pytest.mark.parametrize("lo, hi", ZENO_DOMAINS)
+def test_cli_zeno_solve_is_the_plain_rendering(tmp_path, capsys, lo, hi, budget):
+    out = cli_solve_is_the_plain_rendering(tmp_path, capsys, zeno_doc(lo, hi), budget, 4)
+    assert out["accumulation"] == hi
+
+
+@pytest.mark.parametrize("budget", [64, 1024])
+@pytest.mark.parametrize("lo, hi", ZENO_DOMAINS)
+def test_cli_budget_solve_is_the_plain_rendering(tmp_path, capsys, lo, hi, budget):
+    out = cli_solve_is_the_plain_rendering(tmp_path, capsys, stuck_doc(lo, hi), budget, 5)
+    assert out["outcome"] == "budget" and "accumulation" not in out
+    assert out["events_consumed"] == budget
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -240,7 +263,7 @@ def test_jittered_dense_solve_is_the_plain_rendering(seed):
 @pytest.mark.parametrize("budget", [31, 32, 33, 64])
 def test_to_json_shows_the_first_and_last_events(budget):
     domain = DenseInterval(Fraction(-1), Fraction(2))
-    res = solve_dense(halving_profile(domain), empty_prefix(domain, ("p1", "p2")),
+    res = solve_dense(stuck_profile(domain), empty_prefix(domain, ("p1", "p2")),
                       event_budget=budget)
     assert len(res.events) == res.events_consumed == budget  # the library keeps all
     out = res.to_json()
@@ -252,15 +275,43 @@ def test_to_json_shows_the_first_and_last_events(budget):
 @pytest.mark.parametrize("lo, hi", ZENO_DOMAINS)
 def test_cli_zeno_solve_at_the_default_budget_prints_a_bounded_witness(
         tmp_path, capsys, lo, hi):
+    """The certified walk stops at its second event, whatever the budget."""
     path = tmp_path / "zeno.json"
     path.write_text(json.dumps(zeno_doc(lo, hi)))
     assert cli.main(["solve", str(path)]) == 4
+    out = json.loads(capsys.readouterr().out)
+    assert out["events_consumed"] == len(out["events"]) == 2
+    assert out["events_omitted"] == 0
+    assert out["accumulation"] == hi
+
+
+@pytest.mark.parametrize("lo, hi", ZENO_DOMAINS)
+def test_cli_zeno_solve_at_the_budget_cap_stops_at_its_certificate(
+        tmp_path, capsys, within, lo, hi):
+    """The walk without a certificate would consume all 16,384 events and
+    take seconds; the certified one stops at once."""
+    path = tmp_path / "zeno.json"
+    path.write_text(json.dumps(zeno_doc(lo, hi)))
+    argv = ["solve", str(path), "--budget", str(cli.MAX_BUDGET)]
+    assert within(5, cli.main, argv) == 4
+    out = json.loads(capsys.readouterr().out)
+    assert out["outcome"] == "zeno" and out["accumulation"] == hi
+    assert out["events_consumed"] <= 4
+    assert cli.MAX_BUDGET == 16384
+
+
+@pytest.mark.parametrize("lo, hi", ZENO_DOMAINS)
+def test_cli_budget_walk_at_the_default_budget_prints_a_bounded_witness(
+        tmp_path, capsys, lo, hi):
+    path = tmp_path / "stuck.json"
+    path.write_text(json.dumps(stuck_doc(lo, hi)))
+    assert cli.main(["solve", str(path)]) == 5
     stdout = capsys.readouterr().out
     assert len(stdout.encode()) < 128 * 1024
     out = json.loads(stdout)
+    assert out["outcome"] == "budget" and "accumulation" not in out
     assert out["events_consumed"] == solver.DEFAULT_EVENT_BUDGET == 4096
     assert out["events_omitted"] == 4064 and len(out["events"]) == 32
-    assert out["accumulation"] == hi
 
 
 def chain_doc(size):
@@ -276,6 +327,7 @@ def chain_doc(size):
     (zeno_doc("-1", "2"), 20, 4),
     (zeno_doc("1/2", "3"), 1024, 4),
     (chain_doc(40), 4096, 0),
+    (stuck_doc("-1", "2"), 1024, 5),
 ])
 def test_cli_solve_trace_holds_every_event(tmp_path, capsys, doc, budget, code):
     path, trace = tmp_path / "spec.json", tmp_path / "t.jsonl"

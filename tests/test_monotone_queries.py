@@ -446,7 +446,8 @@ def old_dense_walk(profile, h: PiecewiseHistory, t, target, budget) -> Consisten
 
 def old_solve_dense(profile, pfx, event_budget=4096, order=None, jitter=None) -> SolveResult:
     """`solver.solve_dense` with its own event loop, before the walks shared
-    one kernel, reading holds given the tuple as it does now."""
+    one kernel, reading holds given the tuple and stopping at a limit
+    certificate as it does now."""
     domain = pfx.domain
     players = pfx.players
     top = domain.top
@@ -480,20 +481,38 @@ def old_solve_dense(profile, pfx, event_budget=4096, order=None, jitter=None) ->
     def over_budget():
         tail = stretch_starts[-9:]
         gaps = [b - a for a, b in zip(tail, tail[1:])]
-        zeno = len(gaps) >= 3 and all(b < a for a, b in zip(gaps, gaps[1:]))
-        if not zeno:
-            return SolveResult(BUDGET, None, events, events_consumed=consumed,
-                               diagnosis="event budget exhausted without accumulation")
-        diagnosis = "event times accumulate below the horizon"
-        if gaps[-2] != 0 and gaps[-3] != 0:
-            q1 = Fraction(gaps[-1]) / gaps[-2]
-            q2 = Fraction(gaps[-2]) / gaps[-3]
-            if q1 == q2 and 0 < q1 < 1:
-                return SolveResult(ZENO, None, events, events_consumed=consumed,
-                                   diagnosis=diagnosis,
-                                   accumulation=c + gaps[-1] * q1 / (1 - q1))
+        shrink = len(gaps) >= 3 and all(b < a for a, b in zip(gaps, gaps[1:]))
+        return SolveResult(BUDGET, None, events, events_consumed=consumed,
+                           diagnosis="event budget exhausted"
+                                     + " while the event gaps shrink" * shrink)
+
+    def certified(holds, actions):
+        """The limit certificate rule at c: every strategy declares (a, b)
+        with 0 <= a < 1, the a > 0 ones share one map whose fixed point L
+        lies in (c, top], every hold at c is a*c + b, every a > 0 strategy
+        changed action from its own last piece, and every a = 0 hold b
+        reaches L."""
+        certs = [s.certificate for s in profile]
+        if any(cert is None or not 0 <= cert[0] < 1 for cert in certs):
+            return None
+        movers = [i for i, (a, b) in enumerate(certs) if a > 0]
+        if not movers or len({certs[i] for i in movers}) > 1:
+            return None
+        a, b = certs[movers[0]]
+        limit = b / (1 - a)
+        if not c < limit <= top:
+            return None
+        for i, (ai, bi) in enumerate(certs):
+            if holds[i] != ai * c + bi or (ai == 0 and bi < limit):
+                return None
+            if ai > 0 and (not pieces[i] or pieces[i][-1][1] == actions[i]):
+                return None
+        sign = "-" if b < 0 else "+"
         return SolveResult(ZENO, None, events, events_consumed=consumed,
-                           diagnosis=diagnosis, accumulation_bounds=(c, top))
+                           diagnosis=f"strategy of {players[movers[0]]} certifies each "
+                                     f"hold as {a}*t {sign} {abs(b)}: event times "
+                                     f"accumulate at {limit}",
+                           accumulation=limit)
 
     while True:
         if consumed >= event_budget:
@@ -516,6 +535,9 @@ def old_solve_dense(profile, pfx, event_budget=4096, order=None, jitter=None) ->
         if r < c:
             return SolveResult(NO_TRACE, None, events, events_consumed=consumed,
                                diagnosis=f"hold {r} earlier than query time {c}")
+        zeno = certified(holds, actions)
+        if zeno is not None:
+            return zeno
         if c == top:
             for i in range(len(players)):
                 _append_piece(domain, pieces[i], to.singleton(top), actions[i])
@@ -672,6 +694,9 @@ def walk_profile(h, g, kinds):
             out.append(make_constant(p, "C", ("C", "D"), h.domain))
         elif kind == "halving":
             out.append(make_halving_hold(p, ("C", "D"), h.domain))
+        elif kind == "forced":  # stuck on C, with the certificate of a halving
+            stuck = make_halving_hold(p, ("C",), h.domain)
+            out.append(replace(stuck, certificate=(Fraction(1, 2), h.domain.top / 2)))
         else:
             out.append(broken_hold(p, h.domain, g.per_player[i], kind))
     return out
@@ -701,6 +726,21 @@ def test_solve_dense_matches_old_solve(case, rnd, jitter):
                          None if jitter is None else random.Random(jitter)).to_json()
         except MissingWitnessError as e:
             return str(e)
+
+    assert run(solve_dense) == run(old_solve_dense)
+
+
+@settings(max_examples=100, deadline=None)
+@given(walk_cases(), st.data())
+def test_solve_dense_matches_old_solve_on_certified_profiles(case, data):
+    """Profiles that mostly declare certificates, so the walks stop at them
+    or are refused them, from h's prefix at t."""
+    h, g, _, t, budget = case
+    kinds = [data.draw(st.sampled_from(["halving", "halving", "constant", "forced", "h"]))
+             for _ in h.players]
+
+    def run(solve):
+        return solve(walk_profile(h, g, kinds), prefix(h, t), budget).to_json()
 
     assert run(solve_dense) == run(old_solve_dense)
 

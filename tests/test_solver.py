@@ -1,6 +1,7 @@
 """Chain recursion, the dense event loop, the enumeration oracle, Zeno."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -217,16 +218,20 @@ def test_solve_dense_no_trace_on_broken_hold():
 
 
 def test_zeno_accumulates_at_one_exactly():
+    """The halving's certificate stops the walk at its second event."""
     s = make_halving_hold("p1", ("0", "1"), UNIT)
+    assert s.certificate == (Fraction(1, 2), Fraction(1, 2))
     res = solve_dense([s], empty_prefix(UNIT, ("p1",)), event_budget=64)
     assert res.outcome == ZENO
     assert res.accumulation == 1
-    assert res.events_consumed >= 64
+    assert res.events_consumed == 2
+    assert res.diagnosis == ("strategy of p1 certifies each hold as 1/2*t + 1/2: "
+                             "event times accumulate at 1")
 
 
-def test_zeno_with_non_geometric_gaps_reports_bounds_not_a_point():
-    """Gaps 1/k^2 shrink without a common ratio: the limit pi^2/6 is not
-    known exactly, so only the enclosure (last event time, horizon] is given."""
+def test_non_geometric_gaps_exhaust_the_budget():
+    """Gaps 1/k^2 shrink towards pi^2/6, but no certificate names the limit,
+    so the walk reports `budget`, noting that the gaps shrink."""
     domain = DenseInterval(0, 2)
 
     def respond(t, p):
@@ -235,14 +240,102 @@ def test_zeno_with_non_geometric_gaps_reports_bounds_not_a_point():
 
     s = Strategy("p1", respond, name="basel")
     res = solve_dense([s], empty_prefix(domain, ("p1",)), event_budget=32)
-    last = sum(Fraction(1, k * k) for k in range(1, 33))
-    assert res.outcome == ZENO
+    assert res.outcome == BUDGET
+    assert res.events_consumed == 32
     assert res.accumulation is None
-    assert res.accumulation_bounds == (last, 2)
-    assert last < Fraction(16449, 10000) < 2  # pi^2/6 = 1.64493...
-    out = res.to_json()
-    assert "accumulation" not in out
-    assert out["accumulation_bounds"] == [str(last), "2"]
+    assert res.diagnosis == "event budget exhausted while the event gaps shrink"
+    assert "accumulation" not in res.to_json()
+
+
+def four_piece_script():
+    """One player on [0, 1] cut at 1/2, 3/4 and 7/8: the gaps halve, but
+    the history is unique and four pieces long."""
+    cuts = [Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(7, 8), Fraction(1)]
+    return make_scripted("p1", UNIT, [(Interval(a, b, True, b == 1), "ab"[k % 2])
+                                      for k, (a, b) in enumerate(zip(cuts, cuts[1:]))])
+
+
+@pytest.mark.parametrize("budget", range(1, 9))
+def test_four_piece_script_is_never_zeno(budget):
+    res = solve_dense([four_piece_script()], empty_prefix(UNIT, ("p1",)),
+                      event_budget=budget)
+    assert res.outcome == (UNIQUE if budget >= 5 else BUDGET)
+    assert res.accumulation is None
+
+
+@pytest.mark.parametrize("cycle", [("C",), ("C", "C", "D"), ("C", "D", "C"), ("D", "D")])
+@pytest.mark.parametrize("budget", [1, 2, 3, 64])
+def test_stuck_halving_cycles_are_never_zeno(cycle, budget):
+    """A cycle with two equal cyclic neighbours merges a stretch into its
+    last piece and then plays one action for good, so it declares no
+    certificate.  Where it stops changing at its second event, a forced
+    certificate certifies nothing either: the walk sees that."""
+    s = make_halving_hold("p1", cycle, UNIT)
+    assert s.certificate is None
+    pfx = empty_prefix(UNIT, ("p1",))
+    forced = [replace(s, certificate=(Fraction(1, 2), Fraction(1, 2)))]
+    for strategy in [s] + forced * (cycle[0] == cycle[1 % len(cycle)]):
+        res = solve_dense([strategy], pfx, event_budget=budget)
+        assert (res.outcome, res.events_consumed) == (BUDGET, budget)
+
+
+@pytest.mark.parametrize("other", ["grim", "script"])
+def test_halving_against_an_uncertified_strategy_is_not_certified(other):
+    """Both opponents hold to the top, so the event times are the
+    certified halving's, but only one of the two players certifies them."""
+    domain = DenseInterval(-1, 2)
+    opponent = (make_grim_trigger("p2", "C", "D", Fraction(1, 4), ("C", "D"), domain,
+                                  trigger_actions=["D"])
+                if other == "grim"
+                else make_scripted("p2", domain, [(Interval(-1, 2), "C")]))
+    assert opponent.certificate is None
+    profile = [make_halving_hold("p1", ("C", "E"), domain), opponent]
+    res = solve_dense(profile, empty_prefix(domain, ("p1", "p2")), event_budget=256)
+    assert (res.outcome, res.events_consumed) == (BUDGET, 256)
+
+
+@pytest.mark.parametrize("cert", [
+    (Fraction(1, 3), Fraction(2, 3)),  # fixed point 1, but not the answered holds
+    (Fraction(1, 2), Fraction(1, 4)),  # the holds of a horizon at 1/2
+    (Fraction(1, 2), Fraction(3, 4)),  # a fixed point past the top
+    (Fraction(1), Fraction(0)),        # not a contraction
+])
+def test_a_certificate_that_disagrees_with_its_holds_certifies_nothing(cert):
+    s = replace(make_halving_hold("p1", ("C", "D"), UNIT), certificate=cert)
+    res = solve_dense([s], empty_prefix(UNIT, ("p1",)), event_budget=64)
+    assert (res.outcome, res.events_consumed) == (BUDGET, 64)
+
+
+def test_a_constant_hold_below_the_limit_certifies_nothing():
+    """An a = 0 hold must reach the fixed point.  Here p2 holds to 1/2, as
+    its certificate says, and at 1/2 the halving changes action with the
+    certified hold 3/4; the walk goes on to the instant 1/2, where p2's
+    hold gives out, instead of claiming a limit at 1."""
+    constant = make_constant("p2", "C", ("C", "D"), UNIT)
+    assert constant.certificate == (0, 1)
+    halving = make_halving_hold("p1", ("C", "D"), UNIT)
+    pfx = empty_prefix(UNIT, ("p1", "p2"))
+    assert solve_dense([halving, constant], pfx, event_budget=64).outcome == ZENO
+    half = Fraction(1, 2)
+    low = Strategy("p2", lambda t, p: Response("C", half), certificate=(Fraction(0), half))
+    res = solve_dense([halving, low], pfx, event_budget=64)
+    assert res.outcome == NO_TRACE and res.events[-1][0] == half
+
+
+def test_hold_given_is_skipped_once_the_hold_reaches_the_top():
+    """Grim against a defector punishes from 1/4 on; its unconditional hold
+    is then the top, which no conditional hold can lengthen."""
+    calls = []
+    grim = make_grim_trigger("p1", "C", "D", Fraction(1, 4), ("C", "D"), UNIT)
+    given = grim.hold_given
+    grim = replace(grim, hold_given=lambda t, p, a: calls.append(t) or given(t, p, a))
+    profile = [grim, make_constant("p2", "D", ("C", "D"), UNIT)]
+    res = solve_dense(profile, empty_prefix(UNIT, ("p1", "p2")))
+    assert res.outcome == UNIQUE
+    assert [e[0] for e in res.events] == [0, Fraction(1, 4), 1]
+    assert calls == [0]
+    assert is_consistent(res.history, profile).consistent is True
+    assert calls == [0, 0]
 
 
 def test_budget_without_accumulation():
