@@ -66,11 +66,12 @@ MAX_PAYOFF_BITS = 1_000_000
 # A dense payoff on a domain from lo < 0 encloses e^{-rho lo} <= 2^amp,
 # amp = ceil(-3/2 rho lo), and the width of that enclosure grows as 4^amp,
 # so every enclosure works at about 2 amp bits, and there is one per
-# change of action.  Through the CLI, one constant player on [-1, 1] at
-# rho 83,333 (one stretch, 2 amp = 250,000) pays off in about 5 s, and at
-# rho 3e4 in 0.7 s (Python 3.11, 2 vCPUs); each further stretch adds an
-# enclosure of about 3 s at rho 83,333, so the cap bounds the whole
-# payoff, (stretches) x 2 amp, as the chain cap does.
+# distinct gap between change times, at most one per stretch.  Through the
+# CLI, one constant player on [-1, 1] at rho 83,333 (one stretch, 2 amp =
+# 250,000) pays off in about 5 s, and at rho 3e4 in 0.7 s (Python 3.11,
+# 2 vCPUs); each further stretch with a new gap adds an enclosure of about
+# 3 s at rho 83,333, so the cap bounds the whole payoff, (stretches) x
+# 2 amp, as the chain cap does.
 MAX_DENSE_PAYOFF_BITS = 250_000
 
 
@@ -416,11 +417,44 @@ def _stage_payoffs(spec: GameSpec, combo: tuple[str, ...]) -> Mapping[str, Fract
     return spec.payoff_table[combo]
 
 
-def _integer_weights(spec: GameSpec, payoffs: list) -> tuple[int, list[list[int]]]:
-    """scale, the lcm of the payoffs' denominators, and each u * scale, so
-    the sums over times or stretches stay integers."""
-    scale = math.lcm(*(u[p].denominator for u in payoffs for p in spec.players))
-    return scale, [[int(u[p] * scale) for p in spec.players] for u in payoffs]
+def _tuple_weights(spec: GameSpec, combos: list) -> tuple[int, dict]:
+    """scale, the lcm of the payoffs' denominators, and each distinct action
+    tuple of `combos` with its u * scale per player, so the sums over times
+    or stretches stay integers; each tuple is looked up and scaled once."""
+    payoffs = {combo: _stage_payoffs(spec, combo) for combo in dict.fromkeys(combos)}
+    scale = math.lcm(*(u[p].denominator for u in payoffs.values() for p in spec.players))
+    return scale, {combo: [u[p].numerator * (scale // u[p].denominator) for p in spec.players]
+                   for combo, u in payoffs.items()}
+
+
+def _exp_neg_chain(x0: Fraction, gaps: list, p: int) -> list[tuple[int, int]]:
+    """Integers L_k <= 2^p e^{-x_k} <= H_k with H_k - L_k <= 3 at
+    x_0 = x0 >= 0 and x_{k+1} = x_k + gaps[k], each gap > 0, from one
+    kernel call at x0 and one per distinct gap.
+
+    e^{-x_{k+1}} = e^{-x_k} e^{-gaps[k]}: the chain runs at w = p + g bits
+    and multiplies each bracket by the kernel's bracket of the gap, with
+    floor for L and ceil for H, then rounds each result outward to p bits.
+    Every factor lies in [0, 2^w], so a product of brackets of widths W and
+    at most 3 is at most W + 5 ulps wide; after len(gaps) products the
+    width is below 5 len(gaps) + 3 <= 2^g ulps, which rounding to p bits
+    leaves at most 3 wide.  Every rounding moves away from e^{-x_k}.  Gap
+    brackets are cached by the gap's numerator and denominator, never by
+    its value, whose hash collides among dyadics.
+    """
+    g = (5 * len(gaps) + 3).bit_length()
+    w = p + g
+    lo, hi = _exp_neg_fixed(x0, w)
+    out = [(lo >> g, -(-hi >> g))]
+    cache: dict = {}
+    for d in gaps:
+        key = d.numerator, d.denominator
+        if (f := cache.get(key)) is None:
+            f = cache[key] = _exp_neg_fixed(d, w)
+        lo = lo * f[0] >> w
+        hi = -(-hi * f[1] >> w)
+        out.append((lo >> g, -(-hi >> g)))
+    return out
 
 
 def evaluate_payoff(
@@ -435,16 +469,18 @@ def evaluate_payoff(
 
     Each e^{-rho t} is factored as e^{-rho c} e^{-rho (t-c)} with
     c = min(domain start, 0), so the kernel only sees arguments >= 0, also
-    on domains below 0.  The kernel brackets every 2^p e^{-rho (t-c)} by
-    integers L <= . <= H at one shared precision p.  Its error budget: the
-    floor/ceil bounds on the Taylor terms and the one-ulp tail are covered
-    by guard bits, each squaring at most doubles the width, and rounding
-    to p bits leaves at most 3 ulps.  The sums of u (L_a - H_b) and
-    u (H_a - L_b) (sides swapped for u < 0) are exact integers, divided by
-    rho 2^p once and multiplied by the enclosure 2^p / [H, L] of
-    e^{-rho c}.  p is chosen so that 6 ulps per stretch times e^{-rho c},
-    plus the factor's own width (which grows as e^{-2 rho c}) times the
-    sum, stay within tol.  Every rounding moves outward, so [lo, hi]
+    on domains below 0.  Every 2^p e^{-rho (t-c)} is bracketed by integers
+    L <= . <= H at most 3 apart at one shared precision p, by one kernel
+    call at the first change time and one per distinct gap between change
+    times, chained by outward-rounded products at guard bits
+    (`_exp_neg_chain`).  The weights are scaled to integers once per
+    distinct action tuple, and each tuple's sums of L_a - H_b and
+    H_a - L_b over its stretches are exact integers; u times the first
+    (the second for u < 0) bounds the low end, and the other the high
+    end.  They are divided by rho 2^p once and multiplied by the enclosure
+    2^p / [H, L] of e^{-rho c}.  p is chosen so that 6 ulps per stretch
+    times e^{-rho c}, plus the factor's own width (which grows as
+    e^{-2 rho c}) times the sum, stay within tol.  Every rounding moves outward, so [lo, hi]
     contains the payoff whatever p is; the final width check certifies
     hi - lo <= tol, and p grows and the sum is redone if it fails.
     """
@@ -467,9 +503,7 @@ def evaluate_payoff(
         b = rho.denominator
         c = rho.numerator + b
         combos = chain_actions(h.per_player, size)
-        distinct = list(dict.fromkeys(combos))  # each tuple once, in time order
-        scale, ws = _integer_weights(spec, [_stage_payoffs(spec, combo) for combo in distinct])
-        weights = dict(zip(distinct, ws))
+        scale, weights = _tuple_weights(spec, combos)
         acc = [0] * len(spec.players)
         b_t = 1
         for combo in combos:
@@ -487,31 +521,39 @@ def evaluate_payoff(
     _expect(work <= MAX_DENSE_PAYOFF_BITS, "payoff.rho",
             f"the payoff on a dense domain from {to.format_point(c)} at this rho needs about "
             f"{work} bits, more than {MAX_DENSE_PAYOFF_BITS}")
-    # weights[k] belongs to the stretch [times[k], times[k+1]]
-    scale, weights = _integer_weights(spec, [_stage_payoffs(spec, combo)
-                                             for combo in stretch_actions(h.per_player, times)])
+    # combos[k] is played on the stretch [times[k], times[k+1]]
+    combos = stretch_actions(h.per_player, times)
+    scale, weights = _tuple_weights(spec, combos)
     if rho == 0:
-        exact = {p: sum(ws[i] * (b - a) for a, b, ws in zip(times, times[1:], weights)) / scale
-                 for i, p in enumerate(spec.players)}
+        exact = {p: sum(weights[combo][i] * (b - a) for a, b, combo in zip(times, times[1:], combos))
+                 / scale for i, p in enumerate(spec.players)}
         return PayoffVector(spec.players, exact, dict(exact))
 
-    top = max(abs(w) for ws in weights for w in ws)
+    top = max(abs(w) for ws in weights.values() for w in ws)
     # 24 n covers 6 ulps per stretch plus the factor's width;
     # amp + 3 bits keep f_lo >= 5
-    bits = max(amp + 3, _ceil_log2(24 * len(weights) * max(top, 1) * 4**amp
+    bits = max(amp + 3, _ceil_log2(24 * len(combos) * max(top, 1) * 4**amp
                                    / (scale * rho * tol)))
+    gaps = [rho * (b - a) for a, b in zip(times, times[1:])]
     while True:
         one = 1 << bits
-        enc = [_exp_neg_fixed(rho * (t - c), bits) for t in times]
+        enc = _exp_neg_chain(rho * (times[0] - c), gaps, bits)
         f_lo, f_hi = _exp_neg_fixed(-rho * c, bits)
         factor = (Fraction(one, f_hi), Fraction(one, f_lo))  # encloses e^{-rho c}
+        # the sums of (L_a - H_b) and (H_a - L_b) over each tuple's stretches
+        # bracket one * sum (e^{-rho(a-c)} - e^{-rho(b-c)}); a weight w >= 0
+        # takes w times the first as its low end, a negative one the second
+        sums = {combo: [0, 0] for combo in weights}
+        for (la, ha), (lb, hb), combo in zip(enc, enc[1:], combos):
+            d = sums[combo]
+            d[0] += la - hb
+            d[1] += ha - lb
         n_lo = [0] * len(spec.players)
         n_hi = [0] * len(spec.players)
-        for (la, ha), (lb, hb), ws in zip(enc, enc[1:], weights):
-            d_lo, d_hi = la - hb, ha - lb  # brackets one * (e^{-rho(a-c)} - e^{-rho(b-c)})
-            for i, w in enumerate(ws):
-                n_lo[i] += min(w * d_lo, w * d_hi)
-                n_hi[i] += max(w * d_lo, w * d_hi)
+        for combo, (d_lo, d_hi) in sums.items():
+            for i, w in enumerate(weights[combo]):
+                n_lo[i] += w * (d_lo if w >= 0 else d_hi)
+                n_hi[i] += w * (d_hi if w >= 0 else d_lo)
         den = rho * scale * one
         lo = {p: min(n * f for f in factor) / den for p, n in zip(spec.players, n_lo)}
         hi = {p: max(n * f for f in factor) / den for p, n in zip(spec.players, n_hi)}

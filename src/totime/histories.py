@@ -13,12 +13,17 @@ pieces are an O(1) `PiecesView` of h's own tuple, whose last item is the
 one piece the cut shortens.  The dense walk hands out the same views of
 its own growing lists.  The chain walk (`solver._chain_walk`, which runs
 the chain solver, checker and oracle) extends one append-only piece list
-per player and one of action tuples by a step per time, and copies the
-pieces into tuples at each time (it says why).
+per player and one of action tuples by a step per time, and at each time
+copies a player's pieces into a tuple while they are few and views them
+past that (`solver.CHAIN_COPY_PIECES` says why).
 
 Piece lists grow by one merging append, `_append_piece`, and are checked
 by one linear tiling check, `_tiled`, which `canonical_pieces` runs after
 its sort and `PiecewiseHistory.from_walk` on the pieces a walk leaves.
+The JSON reader, `history_from_json`, parses each distinct endpoint
+string once per document, and sorts and tiles the pieces that
+`timeorder.interval_from_json` has already normalised, with no second
+normalising pass.
 
 The engine builds its snapshots with `_snapshot`, a trusted constructor of
 `HistoryPrefix` in the idiom of `timeorder._interval`: no dataclass
@@ -146,8 +151,12 @@ def canonical_pieces(
         norm = to.make_interval(domain, iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
         if norm is not None:
             items.append((norm, action))
-    items.sort(key=lambda p: to._sort_key(p[0]))
+    items.sort(key=_piece_key)
     return _tiled(domain, items, cover)
+
+
+def _piece_key(piece: Piece):
+    return to._sort_key(piece[0])
 
 
 def _scan_start(pieces: Sequence[Piece], t: TimePoint) -> int:
@@ -306,12 +315,13 @@ class PiecewiseHistory:
 class HistoryPrefix:
     """The restriction of a history to T_<cut (or T_<=cut when cut_included).
 
-    Each player's pieces are a `PiecesView` in library prefixes and the
-    dense walk's snapshots, and a tuple in the chain walk's snapshots and in
-    prefixes built by hand; the two compare, hash and repr alike.  A chain
-    walk's snapshot also carries its action tuples at times below the cut,
-    as a `PiecesView` of the walk's own list, in `actions`: it is left out
-    of ==, hash and repr, and only `strategies.encode_chain_prefix` reads it.
+    Each player's pieces are a `PiecesView` in library prefixes, the dense
+    walk's snapshots and the chain walk's snapshots of many pieces, and a
+    tuple in the chain walk's snapshots of few pieces and in prefixes built
+    by hand; the two compare, hash and repr alike.  A chain walk's snapshot
+    also carries its action tuples at times below the cut, as a
+    `PiecesView` of the walk's own list, in `actions`: it is left out of
+    ==, hash and repr, and only `strategies.encode_chain_prefix` reads it.
     """
 
     domain: TimeDomain
@@ -411,23 +421,30 @@ def history_to_json(h: PiecewiseHistory) -> dict:
 
 def history_from_json(domain: TimeDomain, players: Sequence[str], obj: Mapping) -> PiecewiseHistory:
     """Parse {player: [{lo, hi, lo_closed, hi_closed, action}, ...]}; a
-    malformed document raises SchemaError naming the bad entry, e.g. p1[0].action."""
+    malformed document raises SchemaError naming the bad entry, e.g. p1[0].action.
+
+    Each distinct endpoint string is parsed once per document (a piece's hi
+    is mostly the next one's lo), and each player's pieces, which
+    `interval_from_json` has already normalised, are sorted and tiled once."""
     if not isinstance(obj, dict):
         raise SchemaError("$", "history must be an object keyed by player")
-    pieces = {}
+    memo: dict = {}
+    cover = to.full_interval(domain)
+    per = []
     for player in players:
         entries = obj.get(player)
         if not isinstance(entries, list):
             raise SchemaError(player, "missing list of pieces for this player")
-        pieces[player] = []
+        pieces = []
         for k, entry in enumerate(entries):
             path = f"{player}[{k}]"
-            iv = to.interval_from_json(entry, domain, path)
+            iv = to.interval_from_json(entry, domain, path, memo)
             if type(entry.get("action")) is not str:
                 raise SchemaError(f"{path}.action", f"{entry['action']!r} is not a string"
                                   if "action" in entry else "missing")
-            pieces[player].append((iv, entry["action"]))
-    return PiecewiseHistory.build(domain, players, pieces)
+            pieces.append((iv, entry["action"]))
+        per.append(_tiled(domain, sorted(pieces, key=_piece_key), cover))
+    return PiecewiseHistory(domain, tuple(players), tuple(per))
 
 
 def history_to_csv(h: PiecewiseHistory) -> str:

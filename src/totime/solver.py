@@ -150,14 +150,25 @@ def seq_to_prefix(
     return HistoryPrefix(domain, cut, tuple(players), tuple(map(tuple, per)))
 
 
+# A chain snapshot copies a player's pieces into a tuple while they are this
+# few, and views the walk's own list past that.  Short tuples are cheaper
+# than views (a two-piece view costs about 5x a tuple to build and 3x to
+# iterate, 0.26 and 0.67 us against 0.05 and 0.22), so views everywhere made
+# grim/grim solve plus check 10-20% slower at n = 50-400; copies everywhere
+# made a chain whose actions change at every time quadratic (2.8 s to solve
+# 32,000 times, against 0.15 s with views; Python 3.11, 2 vCPUs).
+CHAIN_COPY_PIECES = 16
+
+
 def _chain_walk(pfx: HistoryPrefix, step, close):
     """The chain walk from pfx's cut, shared by solve_chain, the chain
     consistency check and the oracle: the chain twin of `_walk`.
 
     `step(s, p)` reads the actions at time s from p, one snapshot of the
-    times below s: the merged pieces of one append-only list per player,
-    and an O(1) view of the first s action tuples of the walk's own list,
-    which only ever grows at its end.  It returns the action tuple to commit
+    times below s: the merged pieces of one append-only list per player (a
+    tuple or a view, see CHAIN_COPY_PIECES), and an O(1) view of the first
+    s action tuples of the walk's own list, which only ever grows at its
+    end.  It returns the action tuple to commit
     at s, or anything else to stop the walk with that result.  After the
     last time the walk returns close(pieces).
     """
@@ -167,11 +178,9 @@ def _chain_walk(pfx: HistoryPrefix, step, close):
     seq = list(encode_chain_prefix(pfx))
     per = [list(pp) for pp in seq_to_prefix(domain, players, seq, pfx.cut).per_player]
     for s in range(pfx.cut, domain.size):
-        # The pieces are copied into tuples, not viewed: with views grim/grim
-        # solve plus check was 10-20% slower at n = 50-400, since a two-piece
-        # view costs about 5x a tuple to build and 3x to iterate (0.26 and
-        # 0.67 us against 0.05 and 0.22; Python 3.11, 2 vCPUs).
-        out = step(s, _snapshot(domain, s, players, tuple(map(tuple, per)),
+        out = step(s, _snapshot(domain, s, players,
+                                tuple([tuple(pp) if len(pp) <= CHAIN_COPY_PIECES
+                                       else PiecesView(pp) for pp in per]),
                                 actions=PiecesView(seq, s)))
         if type(out) is not tuple:
             return out

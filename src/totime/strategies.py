@@ -53,7 +53,8 @@ class Response:
     an instantaneous (singleton) action; None means no commitment at all
     (black-box).  A strategy's `hold_given` narrows the extensions to one
     tuple of constants and may hold longer, and its `certificate` (a, b)
-    fixes hold_until to a*t + b below the certificate's fixed point.
+    fixes hold_until to a*t + b below the certificate's fixed point, except
+    inside a hold it gave earlier.
     """
 
     action: str
@@ -68,7 +69,9 @@ InertialWitness = Callable[[TimePoint, HistoryPrefix], tuple[TimePoint, str]]
 # [t, r); r = t marks an instant, as for hold_until
 HoldGiven = Callable[[TimePoint, HistoryPrefix, tuple], TimePoint]
 # limit certificate: (a, b) with 0 <= a < 1 and fixed point L = b / (1 - a).
-# Every query at t < L answers the hold a*t + b.  With a = 0 the action never
+# Every query at t < L answers the hold a*t + b, except one below the hold the
+# strategy gave at the start of its own last piece, which keeps that piece's
+# action and hold.  With a = 0 the action never
 # changes; with a > 0, an action that differs from the strategy's own last
 # piece is followed, at the next query a*t + b on the prefix extended by what
 # a walk commits up to it, by one that differs from that piece too.
@@ -394,16 +397,26 @@ def make_halving_hold(player: str, action_cycle: Sequence[str],
     t -> (t + top) / 2, whose fixed point is the top.  Otherwise a stretch
     can merge into its last piece, its action stops changing and it
     declares no certificate.
+
+    On a dense domain it keeps its holds when another player cuts a stretch
+    short: below the hold of its own last piece, (last.lo + top) / 2, it
+    answers that piece's action and that hold, and the cycle moves on only
+    past it.  A walk that queries it exactly at its holds never sees this.
     """
     cycle = tuple(action_cycle)
     top = domain.top
-    certified = not to.is_chain(domain) and all(
-        x != y for x, y in zip(cycle, cycle[1:] + cycle[:1]))
+    dense = not to.is_chain(domain)
+    certified = dense and all(x != y for x, y in zip(cycle, cycle[1:] + cycle[:1]))
 
     def respond(t: TimePoint, p: HistoryPrefix) -> Response:
+        own = p.per_player[p.players.index(player)]
+        if dense and own:
+            last, action = own[-1]
+            hold = (last.lo + top) / 2
+            if t < hold:
+                return Response(action, hold)
         # change count so far = number of own pieces in the prefix
-        k = len(p.per_player[p.players.index(player)])
-        action = cycle[k % len(cycle)]
+        action = cycle[len(own) % len(cycle)]
         if t >= top:
             return Response(action, top)
         return Response(action, (t + top) / 2)

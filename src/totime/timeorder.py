@@ -393,21 +393,31 @@ def _interval(lo: TimePoint, hi: TimePoint, lo_closed: bool, hi_closed: bool) ->
     return iv
 
 
-def point_from_json(obj: dict, key: str, domain: TimeDomain, path: str) -> TimePoint:
+def point_from_json(obj: dict, key: str, domain: TimeDomain, path: str,
+                    memo: Optional[dict] = None) -> TimePoint:
     """obj[key] as a point of the domain; a missing or malformed one raises
-    SchemaError naming `path`, the key's place in the document."""
+    SchemaError naming `path`, the key's place in the document.  A string
+    is parsed once per `memo`, a dict from the strings read so far."""
     if key not in obj:
         raise SchemaError(path, "missing")
-    return parse_rational(obj[key], path, integer=is_chain(domain))
+    value = obj[key]
+    if memo is None or type(value) is not str:
+        return parse_rational(value, path, integer=is_chain(domain))
+    t = memo.get(value)
+    if t is None:
+        t = memo[value] = parse_rational(value, path, integer=is_chain(domain))
+    return t
 
 
-def interval_from_json(obj: dict, domain: TimeDomain, path: str = "$") -> Interval:
+def interval_from_json(obj: dict, domain: TimeDomain, path: str = "$",
+                       memo: Optional[dict] = None) -> Interval:
     """Parse {"lo", "hi", "lo_closed", "hi_closed"}; a malformed or empty
-    interval raises SchemaError naming `path`, its place in the document."""
+    interval raises SchemaError naming `path`, its place in the document.
+    `memo` is point_from_json's."""
     if not isinstance(obj, dict):
         raise SchemaError(path, "interval must be an object")
-    lo = point_from_json(obj, "lo", domain, f"{path}.lo")
-    hi = point_from_json(obj, "hi", domain, f"{path}.hi")
+    lo = point_from_json(obj, "lo", domain, f"{path}.lo", memo)
+    hi = point_from_json(obj, "hi", domain, f"{path}.hi", memo)
     for key in ("lo_closed", "hi_closed"):  # JSON booleans; a missing flag is closed
         if not isinstance(obj.get(key, True), bool):
             raise SchemaError(f"{path}.{key}", f"{obj[key]!r} is not a boolean")

@@ -129,6 +129,37 @@ def test_json_closedness_flags_default_to_closed():
         (Interval(0, 1, True, True), "a"),)
 
 
+def test_json_reader_parses_each_endpoint_string_once(monkeypatch):
+    """Each distinct endpoint string is parsed once per document, and the
+    pieces, given in any order, tile into the history that build makes of
+    them."""
+    cuts = [Fraction(k, 64) for k in range(1, 64, 3)]
+    pts = [Fraction(0), *cuts, Fraction(1)]
+    pieces = {p: [(Interval(a, b, True, b == 1), "ab"[(k + j) % 2])
+                  for k, (a, b) in enumerate(zip(pts, pts[1:]))]
+              for j, p in enumerate(("p1", "p2"))}
+    want = PiecewiseHistory.build(UNIT, ("p1", "p2"), pieces)
+    obj = {p: [{**iv.to_json(), "action": a} for iv, a in reversed(pp)]
+           for p, pp in pieces.items()}
+    strings = {e[k] for pp in obj.values() for e in pp for k in ("lo", "hi")}
+    calls = []
+    parse = to.parse_rational
+    monkeypatch.setattr(to, "parse_rational", lambda v, *a, **k: calls.append(v) or parse(v, *a, **k))
+    assert history_from_json(UNIT, ("p1", "p2"), obj) == want
+    assert sorted(calls) == sorted(strings)
+
+
+def test_json_reader_reads_numbers_and_open_chain_bounds():
+    obj = {"p1": [{"lo": 0, "hi": "1", "hi_closed": False, "action": "x"},
+                  {"lo": "0", "hi": 2, "lo_closed": False, "action": "y"}]}
+    assert history_from_json(CHAIN, ("p1",), obj).pieces_for("p1") == (
+        (Interval(0, 0), "x"), (Interval(1, 2), "y"))
+    obj["p1"][1]["lo"] = True  # a JSON boolean is no point, whatever it equals
+    with pytest.raises(SchemaError) as err:
+        history_from_json(CHAIN, ("p1",), obj)
+    assert err.value.path == "p1[1].lo"
+
+
 def test_chain_history():
     h = PiecewiseHistory.build(CHAIN, ("p1", "p2"), {
         "p1": [(Interval(0, 0), "x"), (Interval(1, 2), "y")],

@@ -421,6 +421,27 @@ def test_one_player_constant_chain_solve_is_linear(within):
     assert res.events_consumed == 20000
 
 
+def test_chain_whose_actions_change_at_every_time_is_linear(within):
+    """A chain snapshot views a player's pieces once there are more than
+    `solver.CHAIN_COPY_PIECES` of them.  Copying them at every time took
+    2.8, 2.9 and 3.0 s to solve, check and run the oracle on this chain,
+    against 0.15-0.19 s each with views (2 vCPUs, Python 3.11)."""
+    n = 32000
+    domain = FiniteChain(n)
+    profile = [Strategy("p1", lambda t, p: Response("ab"[t % 2]))]
+    pfx = empty_prefix(domain, ("p1",))
+
+    def run():
+        res = solver.solve_chain(profile, pfx)
+        return (res, is_consistent(res.history, profile),
+                solver.oracle_enumerate(profile, pfx, {"p1": ("a", "b")}, limit=2**n))
+
+    res, rep, oracle = within(2, run)
+    assert len(res.history.per_player[0]) == n
+    assert rep.consistent is True
+    assert oracle.histories == [res.history]
+
+
 def test_prefix_intersects_only_the_pieces_at_the_cut(monkeypatch):
     domain = DenseInterval(-3, 5)
     step = Fraction(8, 400)

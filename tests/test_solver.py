@@ -322,6 +322,24 @@ def test_a_constant_hold_below_the_limit_certifies_nothing():
     assert res.outcome == NO_TRACE and res.events[-1][0] == half
 
 
+def test_halving_keeps_its_hold_when_another_player_cuts_its_stretch_short():
+    """Grim cuts the halving's stretch short when it starts punishing, and
+    a re-query inside the halving's own hold keeps that hold instead of
+    turning the cycle, so the walk runs on (to the budget: grim declares no
+    certificate) where it used to end as no_trace after 3 events."""
+    domain = DenseInterval(-1, 2)
+    profile = [make_halving_hold("p1", ("C", "D"), domain),
+               make_grim_trigger("p2", "C", "D", Fraction(1, 4), ("C", "D"), domain)]
+    pfx = empty_prefix(domain, ("p1", "p2"))
+    assert solve_dense(profile, pfx).outcome != NO_TRACE
+    res = solve_dense(profile, pfx, event_budget=64)
+    assert (res.outcome, res.events_consumed) == (BUDGET, 64)
+    # p1 turns to D at 1/2, holding to 5/4; grim punishes from 3/4 on, and
+    # p1 answers the re-query at 3/4 with the same action and hold
+    c, kind, actions, holds = res.events[2]
+    assert (c, kind, actions, holds[0]) == (Fraction(3, 4), "at", ("D", "D"), Fraction(5, 4))
+
+
 def test_hold_given_is_skipped_once_the_hold_reaches_the_top():
     """Grim against a defector punishes from 1/4 on; its unconditional hold
     is then the top, which no conditional hold can lengthen."""
