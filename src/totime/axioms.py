@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from math import gcd
 from typing import Mapping, Optional, Sequence
 
 from .errors import PrefixMismatchError, SetOutsideSubgameError
@@ -31,6 +32,7 @@ from .histories import (
     PiecesView,
     PiecewiseHistory,
     _append_piece,
+    _snapshot,
     chain_actions,
     history_to_json,
     index_at,
@@ -97,8 +99,11 @@ class AxiomReport:
         }
 
 
-def _rand_fraction(rng: random.Random, denom: int = 2**16) -> Fraction:
-    return Fraction(rng.randrange(1, denom), denom)
+def _rand_fraction(rng: random.Random, denom: int = 2**16) -> to.Point:
+    """A uniform draw from {1/denom, ..., (denom - 1)/denom}, reduced."""
+    n = rng.randrange(1, denom)
+    g = gcd(n, denom)
+    return to._point(n // g, denom // g)
 
 
 # -- Definition 1: t-consistency ----------------------------------------------
@@ -278,7 +283,7 @@ def _extended(pfx: HistoryPrefix, q: TimePoint, tails) -> HistoryPrefix:
         for iv, a in tail:
             _append_piece(pfx.domain, pp, iv, a)
         per.append(PiecesView(pp))
-    return HistoryPrefix(pfx.domain, q, pfx.players, tuple(per))
+    return _snapshot(pfx.domain, q, pfx.players, tuple(per))
 
 
 def _observed_alphabets(
@@ -322,8 +327,10 @@ def _probe_trace(
         r = top  # every sample lies strictly between c and r
         for _ in range(6):
             span = r - c
-            points = sorted({c + span * f for f in PROBE_FRACTIONS}
-                            | {c + span * _rand_fraction(rng) for _ in range(4)})
+            draws = [c + span * f for f in PROBE_FRACTIONS]
+            draws += [c + span * _rand_fraction(rng) for _ in range(4)]
+            draws.sort()
+            points = [x for x, _ in groupby(draws)]  # compared, never hashed
             for s in points:
                 iv = Interval(c, s, not open_start, False)
                 q = _extended(p, s, [[(iv, a)] for a in acts])
@@ -465,15 +472,17 @@ def _random_extension(
     lo: TimePoint,
     hi: TimePoint,
 ) -> list[list[Piece]]:
-    """Random piecewise action pieces on [lo, hi), one list per player."""
-    cuts = sorted({lo + (hi - lo) * _rand_fraction(rng)
-                   for _ in range(rng.randrange(0, 3))} - {hi})
-    bounds = [lo] + cuts + [hi]
+    """Random piecewise action pieces on [lo, hi), lo < hi, one list per
+    player.  Every cut lies strictly between lo and hi, so the pieces are
+    nonempty."""
+    cuts = sorted(lo + (hi - lo) * _rand_fraction(rng)
+                  for _ in range(rng.randrange(0, 3)))
+    bounds = [lo, *(c for c, _ in groupby(cuts)), hi]  # compared, never hashed
     out = []
     for i in range(n_players):
         pp = []
         for a, b in zip(bounds, bounds[1:]):
-            pp.append((Interval(a, b, True, False), rng.choice(list(alphabets[i]))))
+            pp.append((to._interval(a, b, True, False), rng.choice(alphabets[i])))
         out.append(pp)
     return out
 
