@@ -113,7 +113,8 @@ def _chain_consistent(
     profile, h: PiecewiseHistory, t: int, target: IntervalSet
 ) -> ConsistencyReport:
     """Check h from t on the solver's chain walk, which commits h's own
-    action tuples; strategies are asked at the target times."""
+    action tuples one time per step; strategies are asked at the target
+    times, so no hold, honest or not, skips a time."""
     seq = chain_actions(h.per_player, h.domain.size)
     checked = 0
 
@@ -130,7 +131,7 @@ def _chain_consistent(
                         checked,
                     )
             checked += 1
-        return seq[s]
+        return seq[s], s + 1
 
     return _chain_walk(history_prefix(h, t), step, lambda pieces: ConsistencyReport(
         True, EXHAUSTIVE, target.to_json(), checked=checked))

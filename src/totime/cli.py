@@ -184,11 +184,12 @@ def cmd_solve(args) -> int:
         with open(args.trace, "w", encoding="utf-8") as f:
             for row in render_events(result.events):
                 f.write(json.dumps(row) + "\n")
-    if args.out and result.history is not None:
-        # written before stdout, so a path that cannot be written prints nothing there
-        history = _dumps(history_to_json(result.history))
+    if args.out:
+        # created or emptied in every outcome, before stdout: a path that cannot
+        # be written prints nothing there, and no earlier history survives
         with open(args.out, "w", encoding="utf-8") as f:
-            f.write(history)
+            if result.history is not None:
+                f.write(_dumps(history_to_json(result.history)))
     _emit(result.to_json())
     if result.diagnosis:
         print(result.diagnosis, file=sys.stderr)

@@ -48,10 +48,11 @@ KEY_SEPARATORS = ",;|"
 
 Maker = Callable[[int], Strategy]  # seed -> a player's strategy
 
-# Every chain path steps through every time, so a chain's size bounds all
-# work on it.  Through the CLI, a two-player constant chain of this many
-# times takes about 1 s to solve and 5 s for its exact payoff (Python 3.11,
-# 2 vCPUs).
+# Every chain check, oracle and payoff steps through every time, and so does
+# a solve with a table, scripted or gallery strategy, so a chain's size
+# bounds all work on it.  Through the CLI, a two-player constant chain of
+# this many times takes about 0.2 s to solve (it commits one stretch) and
+# 4 s for its exact payoff (Python 3.11, 2 vCPUs).
 MAX_CHAIN_SIZE = 100_000
 
 # An exact chain payoff carries one running sum per player and the power

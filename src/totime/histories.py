@@ -13,9 +13,10 @@ pieces are an O(1) `PiecesView` of h's own tuple, whose last item is the
 one piece the cut shortens.  The dense walk hands out the same views of
 its own growing lists.  The chain walk (`solver._chain_walk`, which runs
 the chain solver, checker and oracle) extends one append-only piece list
-per player and one of action tuples by a step per time, and at each time
-copies a player's pieces into a tuple while they are few and views them
-past that (`solver.CHAIN_COPY_PIECES` says why).
+per player and one of action tuples by the stretch each step commits (one
+time, or up to a hold in the solver), and at each step copies a player's
+pieces into a tuple while they are few and views them past that
+(`solver.CHAIN_COPY_PIECES` says why).
 
 Piece lists grow by one merging append, `_append_piece`, and are checked
 by one linear tiling check, `_tiled`, which `canonical_pieces` runs after

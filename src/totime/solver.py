@@ -4,11 +4,15 @@ On finite chains the solution is plain forward recursion: each time's
 action tuple is determined by the strategy profile applied to the prefix
 built so far.  One chain walk, `_chain_walk`, runs the solver, the chain
 consistency check of `axioms` and the enumeration oracle: it grows one
-append-only list of merged pieces per player and one of action tuples by
-a step per time, and each time a caller's step reads one HistoryPrefix
-snapshot of them and returns the action tuple to commit.  The oracle's
-step commits the forced tuple and counts its copies in the alphabet
-product, which it never builds.
+append-only list of merged pieces per player and one of action tuples,
+and at each step a caller's step reads one HistoryPrefix snapshot of
+them and returns the action tuple to commit and the end of the stretch
+it stands on, as a dense walk's step does.  The solver commits up to the
+least hold given the committed tuple when every strategy has one (grim,
+constant), so it pays per change of action; otherwise, and in both
+checkers, a step covers one time.  The oracle's step commits the forced
+tuple and counts its copies in the alphabet product, which it never
+builds.
 On dense domains one event walk, `_walk`, runs the solver, the
 consistency walk and the traceability probe of `axioms`: at each event
 time a caller's step reads every player's action and the next bound, the
@@ -131,13 +135,13 @@ def _check_profile(profile: Sequence[Strategy], players: Sequence[str]):
         raise ValueError("profile does not match the player list")
 
 
-def _chain_step(per: Sequence[list], s: int, actions: tuple) -> None:
-    """Append chain time s to per-player piece lists that end at s - 1."""
+def _chain_commit(per: Sequence[list], s: int, e: int, actions: tuple) -> None:
+    """Append chain times s..e to per-player piece lists that end at s - 1."""
     for pieces, a in zip(per, actions):
         if pieces and pieces[-1][1] == a:
-            pieces[-1] = (to._interval(pieces[-1][0].lo, s, True, True), a)
+            pieces[-1] = (to._interval(pieces[-1][0].lo, e, True, True), a)
         else:
-            pieces.append((to.singleton(s), a))
+            pieces.append((to._interval(s, e, True, True), a))
 
 
 def seq_to_prefix(
@@ -146,7 +150,7 @@ def seq_to_prefix(
     """Build a chain HistoryPrefix from a sequence of action tuples."""
     per: list[list[Piece]] = [[] for _ in players]
     for s in range(cut):
-        _chain_step(per, s, seq[s])
+        _chain_commit(per, s, s, seq[s])
     return HistoryPrefix(domain, cut, tuple(players), tuple(map(tuple, per)))
 
 
@@ -168,38 +172,62 @@ def _chain_walk(pfx: HistoryPrefix, step, close):
     times below s: the merged pieces of one append-only list per player (a
     tuple or a view, see CHAIN_COPY_PIECES), and an O(1) view of the first
     s action tuples of the walk's own list, which only ever grows at its
-    end.  It returns the action tuple to commit
-    at s, or anything else to stop the walk with that result.  After the
-    last time the walk returns close(pieces).
+    end.  It returns (actions, r) with s < r to commit the action tuple at
+    the times s..r-1, or anything else to stop the walk with that result.
+    At the top the walk commits the top alone, whatever r is (a step may
+    return r == s there), and returns close(pieces).
     """
     if pfx.cut_included:
         raise ValueError("a chain walk starts from a strict prefix")
-    domain, players = pfx.domain, pfx.players
+    domain, players, top = pfx.domain, pfx.players, pfx.domain.top
     seq = list(encode_chain_prefix(pfx))
     per = [list(pp) for pp in seq_to_prefix(domain, players, seq, pfx.cut).per_player]
-    for s in range(pfx.cut, domain.size):
+    s = pfx.cut
+    while s <= top:
         out = step(s, _snapshot(domain, s, players,
                                 tuple([tuple(pp) if len(pp) <= CHAIN_COPY_PIECES
                                        else PiecesView(pp) for pp in per]),
                                 actions=PiecesView(seq, s)))
         if type(out) is not tuple:
             return out
-        seq.append(out)
-        _chain_step(per, s, out)
+        actions, r = out
+        if s == top or r == s + 1:
+            seq.append(actions)  # a step per time: no list of one to build
+            r = s + 1
+        else:
+            seq += [actions] * (r - s)
+        _chain_commit(per, s, r - 1, actions)
+        s = r
     return close(per)
 
 
 def solve_chain(profile: Sequence[Strategy], pfx: HistoryPrefix) -> SolveResult:
-    """Forward recursion on a finite chain; always yields a unique history."""
+    """Forward recursion on a finite chain; always yields a unique history.
+
+    Decided once per solve: when every strategy has a `hold_given`, each
+    step commits its tuple up to the least of those holds given it, capped
+    at the top (a hold at s commits s alone), so a solve pays per change of
+    action; otherwise each step commits one time, with holds None.
+    """
     _check_profile(profile, pfx.players)
+    top = pfx.domain.top
     asks = [strategy.respond for strategy in profile]
-    holds = (None,) * len(asks)
+    given = [strategy.hold_given for strategy in profile]
     events = []
 
-    def step(s: int, p: HistoryPrefix) -> tuple:
-        actions = tuple([respond(s, p).action for respond in asks])
-        events.append((s, "at", actions, holds))
-        return actions
+    if any(hold_given is None for hold_given in given):
+        holds = (None,) * len(asks)
+
+        def step(s: int, p: HistoryPrefix) -> tuple:
+            actions = tuple([respond(s, p).action for respond in asks])
+            events.append((s, "at", actions, holds))
+            return actions, s + 1
+    else:
+        def step(s: int, p: HistoryPrefix) -> tuple:
+            actions = tuple([respond(s, p).action for respond in asks])
+            holds = tuple([min(hold_given(s, p, actions), top) for hold_given in given])
+            events.append((s, "at", actions, holds))
+            return actions, max(min(holds), s + 1)
 
     def close(pieces: list) -> SolveResult:
         history = PiecewiseHistory.from_walk(pfx.domain, pfx.players, pieces)
@@ -463,7 +491,7 @@ def oracle_enumerate(
         nonlocal count
         forced = tuple([respond(s, p).action for respond in asks])
         count *= math.prod(copies_of(a) for copies_of, a in zip(copies, forced))
-        return forced if count else OracleResult([], 0)
+        return (forced, s + 1) if count else OracleResult([], 0)
 
     def close(pieces: list) -> OracleResult:
         history = PiecewiseHistory.from_walk(domain, players, pieces)

@@ -8,9 +8,12 @@ long as every player keeps a constant action, which is what makes
 dense-time solving computable.  A family may also supply a conditional
 hold, `Strategy.hold_given(t, prefix, actions)`: the hold that stands
 while every player plays the tuple `actions` on [t, r).  It is at least
-the unconditional hold, and a dense walk, which knows the tuple it
-commits, reads it instead; so dense grim holds to the top while no one
-defects, and a walk pays per change of action, not per reaction lag.
+the unconditional hold, and a walk, which knows the tuple it commits,
+reads it instead; so grim holds to the top while no one defects, and a
+walk pays per change of action, not per reaction lag or per time.  On a
+chain it is the only hold: responses there carry none, and a chain solve
+commits stretches only when every strategy has a `hold_given` (grim,
+constant).
 A family may also declare a limit certificate, `Strategy.certificate`,
 from which a dense walk can tell a Zeno run from its second event
 instead of walking its whole event budget.
@@ -51,10 +54,11 @@ class Response:
     hold_until = r > t commits the action on [t, r) under all-players-
     constant extensions, whatever constants they are; hold_until = t marks
     an instantaneous (singleton) action; None means no commitment at all
-    (black-box).  A strategy's `hold_given` narrows the extensions to one
-    tuple of constants and may hold longer, and its `certificate` (a, b)
-    fixes hold_until to a*t + b below the certificate's fixed point, except
-    inside a hold it gave earlier.
+    (black-box, and every chain response: a chain hold comes only through
+    `Strategy.hold_given`).  A strategy's `hold_given` narrows the
+    extensions to one tuple of constants and may hold longer, and its
+    `certificate` (a, b) fixes hold_until to a*t + b below the
+    certificate's fixed point, except inside a hold it gave earlier.
     """
 
     action: str
@@ -81,7 +85,9 @@ Certificate = tuple[Fraction, Fraction]
 @dataclass
 class Strategy:
     """A player's strategy: a pure respond function plus the optional
-    witnesses, fast paths and limit certificate the engine uses."""
+    witnesses, fast paths and limit certificate the engine uses.  On a
+    chain, `hold_given` is the strategy's only hold; table, seeded-table,
+    scripted and gallery strategies offer none."""
 
     player: str
     respond: Callable[[TimePoint, HistoryPrefix], Response]
@@ -106,7 +112,8 @@ def encode_chain_prefix(p: HistoryPrefix) -> Sequence[tuple]:
 def make_constant(player: str, action: str, alphabet: Sequence[str],
                   domain: TimeDomain) -> Strategy:
     """Always play one action; inertial and frictional with z = action.
-    On a dense domain it holds to the top, its certificate (0, top)."""
+    Its hold given any tuple is the top on both domains; on a dense domain
+    its response holds to the top too, its certificate (0, top)."""
     if action not in alphabet:
         raise ActionNotInAlphabetError(f"{action!r} not in alphabet of {player}")
     top = domain.top
@@ -125,6 +132,7 @@ def make_constant(player: str, action: str, alphabet: Sequence[str],
         name=f"constant({action})",
         default_action=action,
         inertial_witness=witness,
+        hold_given=lambda t, p, actions: top,
         certificate=None if chain else (Fraction(0), top),
     )
 
@@ -158,9 +166,9 @@ def make_grim_trigger(
     Plays `cooperate`; once any opponent has played a trigger action at
     some time r, switches to `punish` from time r + delta onward (the lag
     is what makes the family inertial).  By default every opponent action
-    other than `cooperate` triggers.  On a dense domain its conditional
-    hold is the top while no trigger is known or committed, so a duel in
-    which no one defects is one stretch.
+    other than `cooperate` triggers.  On both domains its hold given a
+    tuple is the top while no trigger is known or committed, so a duel in
+    which no one defects is one stretch (two events, with the top's).
     """
     if cooperate == punish:
         raise BadParametersError("cooperate and punish must differ")
@@ -227,7 +235,7 @@ def make_grim_trigger(
         respond,
         name=f"grim({cooperate}->{punish},d={delta})",
         inertial_witness=witness,
-        hold_given=None if chain else hold_given,
+        hold_given=hold_given,
     )
 
 

@@ -1,6 +1,7 @@
 """The CLI's output format: every document is `json.dumps(obj, indent=2)`
 byte for byte, written by `cli._dumps` without json's pure-Python encoder,
-and `solve --out` to a path that cannot be written prints nothing on stdout."""
+and `solve --out` to a path that cannot be written prints nothing on stdout
+in every outcome, while a solve that is not unique leaves the file empty."""
 
 import json
 from fractions import Fraction
@@ -40,6 +41,15 @@ DENSE_SPEC = {
                     "punish": "D", "delta": "1/8"},
                    {"kind": "constant", "player": "p2", "action": "D"}],
     "payoff": {"rho": "1/2", "table": {"C,C": "1", "C,D": "-1/3", "D,C": "2", "D,D": "0"}},
+}
+
+# the halving's limit certificate stops the solve as zeno (exit 4)
+HALVING_SPEC = {
+    "domain": {"kind": "dense", "lo": "-1", "hi": "2"},
+    "players": [{"id": "p1", "actions": ["C", "D"]},
+                {"id": "p2", "actions": ["C", "D"]}],
+    "strategies": [{"kind": "halving", "player": "p1", "cycle": ["C", "D"]},
+                   {"kind": "constant", "player": "p2", "action": "C"}],
 }
 
 PARTITION = {"domain": {"kind": "chain", "size": 6}, "start": 0,
@@ -158,11 +168,31 @@ def test_gallery_and_meet_print_indented_json(tmp_path, capsys):
 # -- solve --out to a path that cannot be written -----------------------------
 
 
-@pytest.mark.parametrize("where", ["missing", "directory"])
-def test_unwritable_out_prints_nothing_on_stdout(where, tmp_path, capsys):
-    spec = write_json(tmp_path / "spec.json", CHAIN_SPEC)
+def unwritable_out(where, doc, tmp_path, capsys):
+    spec = write_json(tmp_path / "spec.json", doc)
     out = tmp_path / "nowhere" / "h.json" if where == "missing" else tmp_path
     code, stdout, err = run(capsys, ["solve", spec, "--out", str(out)])
     assert code == 2
     assert stdout == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_out_prints_nothing_on_stdout(where, tmp_path, capsys):
+    unwritable_out(where, CHAIN_SPEC, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_out_is_an_error_when_the_solve_is_not_unique(where, tmp_path, capsys):
+    unwritable_out(where, HALVING_SPEC, tmp_path, capsys)
+
+
+def test_a_solve_that_is_not_unique_empties_a_stale_out_file(tmp_path, capsys):
+    """A history left by an earlier run must not survive for `payoff` to read."""
+    out = tmp_path / "stale.json"
+    out.write_text('{"p1": []}')
+    spec = write_json(tmp_path / "spec.json", HALVING_SPEC)
+    code, stdout, err = run(capsys, ["solve", spec, "--out", str(out)])
+    assert code == 4
+    assert json.loads(stdout)["outcome"] == "zeno"
+    assert out.read_text() == ""

@@ -114,10 +114,11 @@ def run_queries(strategy, ops):
     answer of each query.
 
     Each engine list is the list of one run of the solver's own chain walk,
-    `_chain_walk`, whose step commits each "step" item and ends the run at
-    a restart or jump; a forward query is asked on the walk's snapshot.  A
-    query that goes back takes a snapshot of the walk's list at an earlier
-    length; a library prefix comes from seq_to_prefix and carries no list.
+    `_chain_walk`, whose step commits each "step" item at its one time and
+    ends the run at a restart or jump; a forward query is asked on the
+    walk's snapshot.  A query that goes back takes a snapshot of the walk's
+    list at an earlier length; a library prefix comes from seq_to_prefix
+    and carries no list.
     """
     domain, players = PAYLOAD_CHAIN, PAYLOAD_PLAYERS
     calls, answers = [], []
@@ -139,7 +140,7 @@ def run_queries(strategy, ops):
             forward = True
             for op, *arg in todo:
                 if op == "step":
-                    return arg[0]
+                    return arg[0], s + 1
                 if op == "repeat":
                     ask(s, tuple(lst), p)
                 elif op == "back":
