@@ -28,7 +28,7 @@ from .errors import (
     UnknownStrategyKindError,
 )
 from . import timeorder as to
-from .histories import PiecewiseHistory, chain_actions, stretch_actions
+from .histories import PiecewiseHistory, chain_stretches, stretch_actions
 from .strategies import (
     GALLERY_NAMES,
     Strategy,
@@ -48,19 +48,22 @@ KEY_SEPARATORS = ",;|"
 
 Maker = Callable[[int], Strategy]  # seed -> a player's strategy
 
-# Every chain check, oracle and payoff steps through every time, and so does
-# a solve with a table, scripted or gallery strategy, so a chain's size
-# bounds all work on it.  Through the CLI, a two-player constant chain of
-# this many times takes about 0.2 s to solve (it commits one stretch) and
-# 4 s for its exact payoff (Python 3.11, 2 vCPUs).
+# Every chain check and oracle steps through every time, and so does a solve
+# with a table, scripted or gallery strategy and a payoff whose action tuple
+# changes at every time, so a chain's size bounds all work on it.  Through
+# the CLI, a two-player constant chain of this many times takes about 0.2 s
+# to solve (it commits one stretch) and 0.7 s for its exact payoff (one
+# fold per stretch), and one whose tuple changes at every time about 4 s
+# for its payoff (Python 3.11, 2 vCPUs).
 MAX_CHAIN_SIZE = 100_000
 
 # An exact chain payoff carries one running sum per player and the power
-# b^t of rho's denominator, each of about (size - 1) * bit length of
-# rho.numerator + rho.denominator bits, and one step per time works on all
-# of them.  Through the CLI, one player at this cap over MAX_CHAIN_SIZE
-# times (rho 1/16) pays off in about 5 s, and two at rho 1/4 (90% of it) in
-# about 4 s (Python 3.11, 2 vCPUs); 1,000 times at rho 1e4000 would take
+# b^s of rho's denominator, each of about (size - 1) * bit length of
+# rho.numerator + rho.denominator bits, and one fold per constant stretch
+# works on all of them, so the slowest payoffs change tuple at every time.
+# Through the CLI, one such player at this cap over MAX_CHAIN_SIZE times
+# (rho 1/16) pays off in 3.8-5.1 s, and two at rho 1/4 (90% of it) in
+# 3.5-4.7 s (Python 3.11, 2 vCPUs); 1,000 times at rho 1e4000 would take
 # minutes.
 MAX_PAYOFF_BITS = 1_000_000
 
@@ -463,10 +466,12 @@ def evaluate_payoff(
 ) -> PayoffVector:
     """Discounted payoff of h under the spec's table and rate.
 
-    Chains: sum_t (1/(1+rho))^t u_i(h(t)), exact.  Dense: the sum over the
-    constant stretches [a, b] of (u_i/rho)(e^{-rho a} - e^{-rho b}) (exactly
-    u_i (b-a) at rho = 0), enclosed in [lo, hi] with hi - lo <= tol;
-    singleton pieces contribute zero.
+    Chains: sum_t (1/(1+rho))^t u_i(h(t)), exact, in integers with one
+    closed-form fold per constant stretch (see the comments below).
+    Dense: the sum over the constant stretches [a, b] of
+    (u_i/rho)(e^{-rho a} - e^{-rho b}) (exactly u_i (b-a) at rho = 0),
+    enclosed in [lo, hi] with hi - lo <= tol; singleton pieces contribute
+    zero.
 
     Each e^{-rho t} is factored as e^{-rho c} e^{-rho (t-c)} with
     c = min(domain start, 0), so the kernel only sees arguments >= 0, also
@@ -500,18 +505,25 @@ def evaluate_payoff(
         _expect(bits <= MAX_PAYOFF_BITS, "payoff.rho", f"the exact payoff of a chain of size "
                 f"{size} at this rho needs about {bits} bits, more than {MAX_PAYOFF_BITS}")
         # rho = a/b, so rho_hat = b/c with c = a + b; with integer weights
-        # w = u * scale, acc_t = acc_{t-1} c + w_t b^t sums w_t b^t c^(n-1-t)
-        b = rho.denominator
-        c = rho.numerator + b
-        combos = chain_actions(h.per_player, size)
+        # w = u * scale, acc_t = acc_{t-1} c + w_t b^t sums w_t b^t c^(n-1-t).
+        # The k steps over a stretch of k times from s with one tuple fold into
+        # acc c^k + w b^s sum_j b^j c^(k-1-j) = acc c^k + w b^s (c^k - b^k) / a,
+        # exact as c - b = a (the sum is k b^(k-1) when a = 0).
+        a, b = rho.numerator, rho.denominator
+        c = a + b
+        starts, combos = chain_stretches(h.per_player)
         scale, weights = _tuple_weights(spec, combos)
         acc = [0] * len(spec.players)
-        b_t = 1
-        for combo in combos:
+        b_s = 1
+        for s, e, combo in zip(starts, starts[1:] + [size], combos):
+            k = e - s
+            c_k, b_k = c ** k, b ** k
+            geo = (c_k - b_k) // a if a else k * b ** (k - 1)
+            fold = b_s * geo if geo != 1 else b_s  # geo is 1 on a stretch of one time
             for i, w in enumerate(weights[combo]):
-                acc[i] = acc[i] * c + w * b_t
-            b_t *= b
-        den = scale * c ** (len(combos) - 1)
+                acc[i] = acc[i] * c_k + w * fold
+            b_s *= b_k
+        den = scale * c ** (size - 1)
         exact = {p: Fraction(n, den) for p, n in zip(spec.players, acc)}
         return PayoffVector(spec.players, exact, dict(exact))
 

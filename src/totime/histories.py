@@ -234,6 +234,26 @@ def chain_actions(per_player: Sequence[Sequence[Piece]], end: int) -> list[tuple
     return list(zip(*columns))
 
 
+def chain_stretches(per_player: Sequence[Sequence[Piece]]) -> tuple[list[int], list[tuple]]:
+    """The first time of each stretch of chain times on which no player's
+    piece changes, and the action tuple played on it.
+
+    The stretches start at the pieces' starts; each player's pieces tile
+    the chain, so the piece holding stretch s is the first that ends at or
+    after s, and each player's pieces are walked once.
+    """
+    starts = sorted({iv.lo for pieces in per_player for iv, _ in pieces})
+    columns = []
+    for pieces in per_player:
+        col, i = [], 0
+        for s in starts:
+            while pieces[i][0].hi < s:
+                i += 1
+            col.append(pieces[i][1])
+        columns.append(col)
+    return starts, list(zip(*columns))
+
+
 def stretch_actions(per_player: Sequence[Sequence[Piece]],
                     times: Sequence[TimePoint]) -> list[tuple]:
     """The action tuple on each open stretch between consecutive dense `times`.

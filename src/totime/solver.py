@@ -442,24 +442,10 @@ def solve_dense(
     return _walk(pfx, step, close)
 
 
-def _space_exceeds(base: int, n: int, limit: int) -> bool:
-    """Whether base ** n > limit, multiplying one factor at a time and
-    stopping once the product passes limit, so a huge power is never built."""
-    if base <= 1:
-        return base ** n > limit
-    space = 1
-    for _ in range(n):
-        if space > limit:
-            break
-        space *= base
-    return space > limit
-
-
 def oracle_enumerate(
     profile: Sequence[Strategy],
     pfx: HistoryPrefix,
     alphabets: Mapping[str, Sequence[str]],
-    limit: int = 10**7,
 ) -> OracleResult:
     """Enumerate the consistent completions of a chain prefix, as one step
     of the chain walk; the tests check it against references that rebuild
@@ -470,19 +456,16 @@ def oracle_enumerate(
     time, and a time with none in the alphabet product ends the search.  The
     completions are the copies of that one history, one per choice of a copy
     of the forced tuple at each time: a player's alphabet may repeat an
-    action, and each repeat counts.  `limit` bounds the nominal space, the
-    product of the alphabet sizes to the power of the times left.
+    action, and each repeat counts.  `count` is the exact number of copies
+    and `histories` holds the one distinct survivor (none when the count is
+    0), so the work is one walk step per time, whatever the size of the
+    alphabet product.
     """
     domain = pfx.domain
     players = pfx.players
     _check_profile(profile, players)
     if not to.is_chain(domain):
         raise SearchSpaceTooLargeError("oracle enumeration requires a finite chain")
-    n_times = domain.size - pfx.cut
-    base = math.prod(len(alphabets[p]) for p in players)
-    if _space_exceeds(base, n_times, limit):
-        raise SearchSpaceTooLargeError(
-            f"search space {base}^{n_times} exceeds limit {limit}")
     asks = [strategy.respond for strategy in profile]
     copies = [alphabets[p].count for p in players]
     count = 1
@@ -495,7 +478,7 @@ def oracle_enumerate(
 
     def close(pieces: list) -> OracleResult:
         history = PiecewiseHistory.from_walk(domain, players, pieces)
-        return OracleResult([history] * count, count)
+        return OracleResult([history], count)
 
     return _chain_walk(pfx, step, close)
 

@@ -211,8 +211,17 @@ TimePoint = Union[int, Point]
 
 
 def as_point(t) -> Point:
-    """t (an int, Fraction or Point) as a Point."""
-    return t if type(t) is Point else Point(t)
+    """t (an int, Fraction or Point) as a Point.
+
+    An int or Fraction is already in lowest terms, so its own numerator and
+    denominator make the Point without Fraction's normalising constructor.
+    """
+    tt = type(t)
+    if tt is Point:
+        return t
+    if tt is Fraction or tt is int:
+        return _point(t.numerator, t.denominator)
+    return Point(t)
 
 
 def format_point(t: TimePoint) -> str:

@@ -703,22 +703,36 @@ def wide_spec_dict(width, payoff):
     return doc
 
 
-@pytest.mark.parametrize("command, where", [("spec", r"payoff\.table"),
-                                            ("oracle", "search space")])
+def run_cli_traced(capsys, argv):
+    """run_cli's result and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = run_cli(capsys, argv)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command, where", [("spec", r"payoff\.table")])
 def test_a_wide_spec_is_refused_without_building_the_action_product(
         tmp_path, capsys, command, where):
     """The payoff table's keys are counted against the alphabet product's
-    size and the oracle's space is the product of the alphabet sizes, so
-    neither builds the 150^3 action tuples (hundreds of MB) to refuse."""
-    spec_path = write_json(tmp_path / "wide.json", wide_spec_dict(150, command == "spec"))
-    tracemalloc.start()
-    try:
-        code, out, err = run_cli(capsys, [command, spec_path])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    size, so the 150^3 action tuples (hundreds of MB) are never built to
+    refuse it."""
+    spec_path = write_json(tmp_path / "wide.json", wide_spec_dict(150, True))
+    (code, out, err), peak = run_cli_traced(capsys, [command, spec_path])
     assert (code, out) == (2, "")
     assert re.match(f"^error: {where}", err) and err.count("\n") == 1
+    assert peak < 4 * 2**20
+
+
+def test_the_oracle_answers_a_wide_spec_without_building_the_action_product(tmp_path, capsys):
+    """The oracle asks each strategy once per time, so the 150^3 action
+    tuples are never built."""
+    spec_path = write_json(tmp_path / "wide.json", wide_spec_dict(150, False))
+    (code, out, err), peak = run_cli_traced(capsys, ["oracle", spec_path])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["count"] == 1
     assert peak < 4 * 2**20
 
 

@@ -3,11 +3,12 @@
 The oracles below are the definitions the engine used to evaluate
 literally: a prefix intersects every piece with the window, a lookup scans
 the pieces from the first, a chain payoff (`per_time_sum`) grows one
-Fraction weight rho_hat**t per time, the reference of the engine's one
-integer pass, and change times are the sorted set of every piece bound.
-`bisect_index_after` is `index_after` before it took a cursor hint, and
-`old_canonical_pieces` (the sorting history builder with its own check
-and merge loops) is the oracle of the one linear tiling check that
+Fraction weight rho_hat**t per time, the reference of the engine's
+integer fold of each constant stretch, and change times are the sorted
+set of every piece bound.  `bisect_index_after` is `index_after` before
+it took a cursor hint, and `old_canonical_pieces` (the sorting history
+builder with its own check and merge loops) is the oracle of the one
+linear tiling check that
 `canonical_pieces` and the walks' finish share.  The prefix guards count
 calls, not time, and require library prefixes to view the history's own
 pieces, so the quadratic rebuild cannot come back unnoticed; the
@@ -41,6 +42,7 @@ from totime.histories import (
     PiecewiseHistory,
     canonical_pieces,
     chain_actions,
+    chain_stretches,
     empty_prefix,
     index_after,
     piece_at,
@@ -95,6 +97,30 @@ def chain_histories(draw):
         for p in players
     }
     return PiecewiseHistory.build(domain, players, per)
+
+
+@st.composite
+def stretched_chain_histories(draw):
+    """Chain histories of one stretch, of stretches of one time each (the
+    first player alternates), or of stretches of mixed lengths, up to a
+    few hundred times."""
+    shape = draw(st.sampled_from(["one", "ones", "mixed"]))
+    n = draw(st.integers(1, 200 if shape == "ones" else 400))
+    players = tuple(f"p{i}" for i in range(draw(st.integers(1, 3))))
+    action = st.sampled_from(ALPHABET)
+    per = {}
+    for i, p in enumerate(players):
+        if shape == "one":
+            per[p] = [(Interval(0, n - 1), draw(action))]
+        elif shape == "ones":
+            acts = [ALPHABET[t % 2] for t in range(n)] if i == 0 else draw(
+                st.lists(action, min_size=n, max_size=n))
+            per[p] = [(to.singleton(t), a) for t, a in enumerate(acts)]
+        else:
+            cuts = sorted(draw(st.sets(st.integers(1, n), max_size=12)) - {n})
+            bounds = [0, *cuts, n]
+            per[p] = [(Interval(a, b - 1), draw(action)) for a, b in zip(bounds, bounds[1:])]
+    return PiecewiseHistory.build(FiniteChain(n), players, per)
 
 
 def query_points(h: PiecewiseHistory) -> list:
@@ -267,7 +293,8 @@ TABLE_VALUES = st.one_of(
 
 
 @settings(max_examples=120, deadline=None)
-@given(chain_histories(), RHOS, st.lists(TABLE_VALUES, min_size=1, max_size=8))
+@given(st.one_of(chain_histories(), stretched_chain_histories()), RHOS,
+       st.lists(TABLE_VALUES, min_size=1, max_size=8))
 def test_chain_payoff_equals_per_time_sum(h, rho, values):
     spec = parse_spec(json.dumps(chain_spec(h, rho, values)))
     vec = evaluate_payoff(h, spec)
@@ -283,6 +310,36 @@ def test_chain_payoff_raises_on_the_first_missing_tuple_in_time_order():
     with pytest.raises(KeyError) as missing:
         evaluate_payoff(h, spec)
     assert missing.value.args == (("b",),)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stretched_chain_histories())
+def test_chain_stretches_expand_to_the_per_time_tuples(h):
+    n = h.domain.size
+    starts, combos = chain_stretches(h.per_player)
+    assert starts[0] == 0 and len(starts) == len(combos)
+    assert all(x != y for x, y in zip(combos, combos[1:]))  # each stretch is maximal
+    expanded = [combo for s, e, combo in zip(starts, starts[1:] + [n], combos)
+                for _ in range(e - s)]
+    assert expanded == chain_actions(h.per_player, n)
+
+
+def test_chain_payoff_of_two_stretches_at_the_size_cap_is_fast(within):
+    """Two stretches of 50,000 times each at rho = 1/4: a step per time took
+    2.4 s, a fold per stretch takes about 0.13 s (Python 3.11, 2 vCPUs)."""
+    n, m = MAX_CHAIN_SIZE, MAX_CHAIN_SIZE // 2
+    h = PiecewiseHistory.build(FiniteChain(n), ("p0", "p1"), {
+        "p0": [(Interval(0, m - 1), "a"), (Interval(m, n - 1), "b")],
+        "p1": [(Interval(0, n - 1), "a")]})
+    values = [Fraction(3, 7), Fraction(-1, 3), Fraction(5, 11), Fraction(2)]
+    spec = parse_spec(json.dumps(chain_spec(h, Fraction(1, 4), values)))
+    vec = within(1, evaluate_payoff, h, spec)
+    assert vec.lo == vec.hi
+    r = 0.8
+    for p in h.players:  # the two geometric sums in floats agree to rounding
+        u1, u2 = (float(spec.payoff_table[h.eval(t)][p]) for t in (0, n - 1))
+        approx = (u1 * (1 - r**m) + u2 * (r**m - r**n)) / (1 - r)
+        assert float(vec.lo[p]) == pytest.approx(approx, rel=1e-12)
 
 
 def test_long_chain_payoff_is_one_integer_pass(within):
@@ -456,7 +513,7 @@ def test_chain_whose_actions_change_at_every_time_is_linear(within):
     def run():
         res = solver.solve_chain(profile, pfx)
         return (res, is_consistent(res.history, profile),
-                solver.oracle_enumerate(profile, pfx, {"p1": ("a", "b")}, limit=2**n))
+                solver.oracle_enumerate(profile, pfx, {"p1": ("a", "b")}))
 
     res, rep, oracle = within(2, run)
     assert len(res.history.per_player[0]) == n
@@ -677,8 +734,7 @@ def test_chain_snapshots_read_like_library_prefixes(h, seed):
     res = solver.solve_chain(profile, pfx)
     assert res.history.per_player[:-1] == h.per_player
     assert is_consistent(res.history, profile).consistent is True
-    oracle = solver.oracle_enumerate(profile, pfx, {p: ALPHABET for p in players},
-                                     limit=10**100)
+    oracle = solver.oracle_enumerate(profile, pfx, {p: ALPHABET for p in players})
     assert oracle.histories == [res.history]
     assert len(seen) == 3 * len(players) * h.domain.size
     for p, copied in seen:

@@ -4,10 +4,10 @@
 search went forward in time: it runs every candidate of the alphabet
 product through the pointwise consistency filter, with a memo of forced
 tuples.  It stays here as the oracle of the differential test, which
-asserts the same count and the same histories in the same order.  The
-guard runs a space of 4^11 candidates under a time cap that the product
-loop cannot meet, and the CLI tests keep the space check from building
-or printing a huge power.
+asserts the same count and the one distinct history its survivors are
+copies of.  The guard runs a space of 4^11 candidates under a time cap
+that the product loop cannot meet, and the oracle answers chains at the
+size cap, whose alphabet products no space check could bound, in one walk.
 """
 
 import itertools
@@ -22,7 +22,7 @@ from totime import timeorder as to
 from totime.errors import SearchSpaceTooLargeError
 from totime.gamespec import MAX_CHAIN_SIZE
 from totime.histories import PiecewiseHistory, empty_prefix, prefix, splice
-from totime.solver import oracle_enumerate, seq_to_prefix, solve_chain
+from totime.solver import oracle_enumerate, seq_to_prefix, solve_chain, verify_unique
 from totime.strategies import (
     Response,
     Strategy,
@@ -35,8 +35,9 @@ from totime.strategies import (
 from totime.timeorder import FiniteChain
 
 
-def old_oracle_enumerate(profile, pfx, alphabets, limit=10**7):
-    """The product-loop oracle (with its space check), kept as the reference."""
+def old_oracle_enumerate(profile, pfx, alphabets, limit=5000):
+    """The product-loop oracle, kept as the reference; its space check
+    bounds the reference's own run time."""
     domain = pfx.domain
     players = pfx.players
     if not to.is_chain(domain):
@@ -136,23 +137,21 @@ def chain_games(draw):
         for p in players
     })
     pfx = prefix(past, cut)
-    limit = draw(st.sampled_from([0, 1, 26, 27, 28, 700] + [5000] * 6))
-    return profile, pfx, alphabets, limit, stray_at
+    return profile, pfx, alphabets, stray_at
 
 
 @settings(max_examples=300, deadline=None)
 @given(chain_games())
 def test_forward_oracle_matches_the_product_loop(game):
-    profile, pfx, alphabets, limit, stray_at = game
+    profile, pfx, alphabets, stray_at = game
+    result = oracle_enumerate(profile, pfx, alphabets)
     try:
-        want = old_oracle_enumerate(profile, pfx, alphabets, limit)
-    except SearchSpaceTooLargeError:
-        with pytest.raises(SearchSpaceTooLargeError):
-            oracle_enumerate(profile, pfx, alphabets, limit)
-        return
-    result = oracle_enumerate(profile, pfx, alphabets, limit)
-    assert result.histories == want  # same histories in the same order
-    assert result.count == len(want)
+        want = old_oracle_enumerate(profile, pfx, alphabets)
+    except SearchSpaceTooLargeError:  # too many candidates for the product loop
+        want = None
+    if want is not None:
+        assert result.count == len(want)
+        assert result.histories == want[:1]  # the survivors are one history
     if stray_at is not None and stray_at >= pfx.cut:
         assert result.count == 0  # the forced path leaves the alphabet
     elif stray_at is None:
@@ -168,8 +167,9 @@ def test_repeated_actions_keep_the_product_order():
                make_constant("p2", "b", ("b",), domain)]
     pfx = empty_prefix(domain, players)
     result = oracle_enumerate(profile, pfx, alphabets)
-    assert result.histories == old_oracle_enumerate(profile, pfx, alphabets)
-    assert result.count >= 2 ** 3  # every time matches both copies of "b"
+    want = old_oracle_enumerate(profile, pfx, alphabets)
+    assert result.count == len(want) >= 2 ** 3  # every time matches both copies of "b"
+    assert all(h == want[0] for h in want) and result.histories == want[:1]
 
 
 def test_every_chain_entry_point_refuses_an_including_prefix():
@@ -196,21 +196,21 @@ def test_every_chain_entry_point_refuses_an_including_prefix():
     assert asked == []
 
 
-def test_space_check_is_exact_at_the_limit():
-    domain = FiniteChain(3)
-    profile = [make_constant("p1", "a", ("a", "b"), domain)]
-    pfx = empty_prefix(domain, ("p1",))
-    assert oracle_enumerate(profile, pfx, {"p1": ("a", "b")}, limit=8).count == 1
-    with pytest.raises(SearchSpaceTooLargeError, match=r"search space 2\^3 exceeds limit 7"):
-        oracle_enumerate(profile, pfx, {"p1": ("a", "b")}, limit=7)
-    # a single-action alphabet keeps the space at 1 for any length
-    long = FiniteChain(5000)
-    res = oracle_enumerate([make_constant("p1", "a", ("a",), long)],
-                           empty_prefix(long, ("p1",)), {"p1": ("a",)}, limit=1)
-    assert res.count == 1
-    with pytest.raises(SearchSpaceTooLargeError, match=r"1\^5000 exceeds limit 0"):
-        oracle_enumerate([make_constant("p1", "a", ("a",), long)],
-                         empty_prefix(long, ("p1",)), {"p1": ("a",)}, limit=0)
+def test_oracle_answers_chains_at_the_size_cap(within):
+    """No candidate space bounds the oracle: grim/grim and constant/grim
+    chains of two actions each at the size cap (4^100,000 candidates) are
+    answered and verified in one walk each, well inside the cap."""
+    domain = FiniteChain(MAX_CHAIN_SIZE)
+    players = ("p1", "p2")
+    alphabets = {p: ("C", "D") for p in players}
+    pfx = empty_prefix(domain, players)
+    for first in (make_grim_trigger("p1", "C", "D", 1, ("C", "D"), domain),
+                  make_constant("p1", "D", ("C", "D"), domain)):
+        profile = [first, make_grim_trigger("p2", "C", "D", 1, ("C", "D"), domain)]
+        res = solve_chain(profile, pfx)
+        oracle = within(10, oracle_enumerate, profile, pfx, alphabets)
+        assert oracle.count == 1 and oracle.histories == [res.history]
+        assert within(10, verify_unique, profile, pfx, res, alphabets)
 
 
 # -- guards -------------------------------------------------------------------
@@ -237,16 +237,27 @@ def big_chain_spec(size):
     }
 
 
-@pytest.mark.parametrize("size", [8000, MAX_CHAIN_SIZE, 10**7])
+@pytest.mark.parametrize("size", [10**7])
 def test_cli_oracle_on_a_huge_space_exits_2(tmp_path, capsys, size, within):
-    # 27^8000 has more digits than int-to-str allows; 27^(10^7) takes
-    # seconds to compute at all, and a chain that long is refused before
-    # the oracle starts
+    # a chain past the size cap is refused before the oracle starts
     spec_path = tmp_path / "chain.json"
     spec_path.write_text(json.dumps(big_chain_spec(size)))
     assert within(1, cli.main, ["oracle", str(spec_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: search space 27^{size} exceeds limit 10000000\n" if size <= MAX_CHAIN_SIZE
-        else f"error: domain.size: chain size must be at most {MAX_CHAIN_SIZE}, got {size}\n")
+        f"error: domain.size: chain size must be at most {MAX_CHAIN_SIZE}, got {size}\n")
+
+
+@pytest.mark.parametrize("size", [8000, MAX_CHAIN_SIZE])
+def test_cli_oracle_on_a_huge_space_answers(tmp_path, capsys, size, within):
+    # 27^size candidates, and 27^8000 already has more digits than
+    # int-to-str allows: the walk builds neither the space nor its power
+    spec_path = tmp_path / "chain.json"
+    spec_path.write_text(json.dumps(big_chain_spec(size)))
+    assert within(10, cli.main, ["oracle", str(spec_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    whole = {"lo": "0", "hi": str(size - 1), "lo_closed": True, "hi_closed": True, "action": "a"}
+    assert out == {"count": 1, "histories": [{p: [whole] for p in ("p1", "p2", "p3")}]}

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from totime import timeorder as to
 from totime.axioms import is_consistent
 from totime.gamespec import build_profile, parse_spec
 from totime.histories import empty_prefix
@@ -86,6 +87,15 @@ def test_containers_match_fraction(xs, y):
     for x in xs:
         back = pickle.loads(pickle.dumps(x))
         assert back == x and type(back) is type(x) and str(back) == str(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(operands, st.booleans()))
+def test_as_point_equals_the_point_constructor(x):
+    got, want = to.as_point(x), Point(x)
+    assert type(got) is Point and got == want and hash(got) == hash(want)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("other", [True, False, 0.5, -2.0, float("inf"),

@@ -8,7 +8,7 @@ import pytest
 
 from totime import timeorder as to
 from totime.axioms import is_consistent
-from totime.errors import MissingWitnessError, SearchSpaceTooLargeError
+from totime.errors import MissingWitnessError
 from totime.histories import PiecewiseHistory, empty_prefix, prefix
 from totime.solver import (
     BUDGET,
@@ -78,14 +78,15 @@ def test_solve_chain_copycats():
     assert oracle.count == 1 and oracle.histories[0] == res.history
 
 
-def test_oracle_space_limit():
+def test_oracle_walks_a_space_of_any_size():
+    # 27^4 candidates; the walk asks each strategy once per time
     domain = FiniteChain(4)
+    players = ("p1", "p2", "p3")
     profile = [make_random_table(p, domain, tuple("abc"), seed=i)
-               for i, p in enumerate(("p1", "p2", "p3"))]
-    with pytest.raises(SearchSpaceTooLargeError):
-        oracle_enumerate(profile, empty_prefix(domain, ("p1", "p2", "p3")),
-                         {p: tuple("abc") for p in ("p1", "p2", "p3")},
-                         limit=100)
+               for i, p in enumerate(players)]
+    pfx = empty_prefix(domain, players)
+    oracle = oracle_enumerate(profile, pfx, {p: tuple("abc") for p in players})
+    assert oracle.count == 1 and oracle.histories == [solve_chain(profile, pfx).history]
 
 
 def test_solve_dense_constant():
